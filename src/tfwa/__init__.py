@@ -11,7 +11,6 @@ statistics rounds out the package.
 
 from .baselines import (
     DF_GAUSSIAN_LIMIT,
-    BaselineConfig,
     gaussian_limit_run,
     random_search_run,
     uniform_fwa_run,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BaselineConfig",
     "BenchmarkProblem",
     "ComparisonCell",
     "DF_CAP",

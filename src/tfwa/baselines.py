@@ -4,8 +4,9 @@
   1e8, so sampling is effectively Gaussian and the natural weights are
   uniform; isolates the contribution of heavy-tailed sampling.
 * ``uniform_fwa_run``: classic fireworks explosions, uniform in a shrinking
-  or growing hypercube around each firework, with the same loser-out
-  tournament; isolates the contribution of the adapted t sampler.
+  or growing hypercube around each firework, driven by the swarm's
+  generation loop and loser-out tournament; isolates the contribution of
+  the adapted t sampler.
 * ``random_search_run``: uniform sampling over the whole box.
 """
 
@@ -20,27 +21,20 @@ from .swarm import (
     RunResult,
     SwarmConfig,
     TraceRecord,
-    loser_out_check,
+    _drive,
+    _fresh_firework,
     resolve_run_shape,
     run,
 )
 
 DF_GAUSSIAN_LIMIT = 1.0e8
 
-
-@dataclass
-class BaselineConfig:
-    """Knobs for the non-t baselines.
-
-    ``amplitude_init`` defaults to half the box width; the amplitude grows
-    by ``amplitude_growth`` on improvement and shrinks by
-    ``amplitude_decay`` otherwise, clamped to the box width.
-    """
-
-    kind: str = "uniform_fwa"
-    amplitude_init: float | None = None
-    amplitude_decay: float = 0.9
-    amplitude_growth: float = 1.2
+# Uniform-firework amplitude: starts at this fraction of the box width, grows
+# by AMPLITUDE_GROWTH on improvement and shrinks by AMPLITUDE_DECAY otherwise,
+# clamped to the box width.
+AMPLITUDE_INIT = 0.5
+AMPLITUDE_GROWTH = 1.2
+AMPLITUDE_DECAY = 0.9
 
 
 def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
@@ -50,11 +44,14 @@ def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
 
 @dataclass
 class _UniformFirework:
+    """Uniform-explosion firework; ``scale`` is the hypercube half-width."""
+
     mean: np.ndarray
-    amplitude: float
+    scale: float
     last_gen_best: float
     best_fitness: float
     best_position: np.ndarray
+    df: float = 0.0
     improvement: float = 0.0
     gen_improvement: float = 0.0
 
@@ -65,128 +62,47 @@ def uniform_sparks(mean, amplitude, lam, lb, ub, rng):
     return np.clip(mean + span, lb, ub)
 
 
-def _fresh_uniform_firework(problem, amplitude, rng):
-    mean = rng.uniform(problem.lb / 2.0, problem.ub / 2.0, size=problem.dim)
-    f0 = float(problem.evaluate(mean))
-    return _UniformFirework(
-        mean=mean,
-        amplitude=amplitude,
-        last_gen_best=f0,
-        best_fitness=f0,
-        best_position=mean.copy(),
-    )
-
-
-def uniform_fwa_run(
-    problem, config: SwarmConfig, baseline: BaselineConfig | None = None
-) -> RunResult:
+def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform-explosion fireworks with dynamic amplitude and loser-out restarts.
 
     Each generation a firework samples ``lam`` sparks in its hypercube and
     greedily moves to the best spark when it improves on the firework's
     fitness, growing the amplitude on improvement and shrinking it
-    otherwise.  Budget accounting, the tournament and the trace format
-    match the swarm run.
+    otherwise.  Budget accounting, the tournament and the trace format are
+    the swarm run's.
     """
-    baseline = baseline or BaselineConfig()
     rng = np.random.default_rng(config.seed)
-    n, lam, budget = resolve_run_shape(problem, config)
+    n, lam, _ = resolve_run_shape(problem, config)
     box = float(problem.ub - problem.lb)
-    amp0 = baseline.amplitude_init if baseline.amplitude_init is not None else box / 2.0
-    if not 0 < amp0 <= box:
-        raise ValueError(f"initial amplitude must lie in (0, {box}], got {amp0}")
-    f_star = float(getattr(problem, "f_star", 0.0))
 
-    fireworks = [_fresh_uniform_firework(problem, amp0, rng) for _ in range(n)]
-    evals = n
-    best_f = min(fw.best_fitness for fw in fireworks)
-    best_x = min(fireworks, key=lambda fw: fw.best_fitness).best_position.copy()
-    g_max = (budget - n) // (n * lam)
+    def fresh(_old=None):
+        return _fresh_firework(_UniformFirework, problem, rng, scale=AMPLITUDE_INIT * box)
 
-    trace = []
-    generations = 0
-    g = 0
-    out_of_budget = False
-    while not out_of_budget:
-        g += 1
-        exploded = []
-        for i, fw in enumerate(fireworks):
-            if evals + lam > budget:
-                out_of_budget = True
-                break
-            sparks = uniform_sparks(fw.mean, fw.amplitude, lam, problem.lb, problem.ub, rng)
-            fits = problem.evaluate_batch(sparks)
-            evals += lam
-            k = int(np.argmin(fits))
-            gen_min = float(fits[k])
-            fw.gen_improvement = fw.last_gen_best - gen_min
-            if gen_min < fw.last_gen_best:
-                fw.mean = sparks[k].copy()
-                fw.last_gen_best = gen_min
-                fw.amplitude = min(fw.amplitude * baseline.amplitude_growth, box)
-            else:
-                fw.amplitude *= baseline.amplitude_decay
-            if gen_min < fw.best_fitness:
-                fw.best_fitness = gen_min
-                fw.best_position = sparks[k].copy()
-            if gen_min < best_f:
-                best_f, best_x = gen_min, sparks[k].copy()
-            exploded.append(i)
+    def burst(_i, fw):
+        sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, rng)
+        fits = problem.evaluate_batch(sparks)
+        k = int(np.argmin(fits))
+        gen_best = float(fits[k])
+        fw.gen_improvement = fw.last_gen_best - gen_best
+        # The firework only ever moves to an improving spark, so its current
+        # fitness is also its all-time best.
+        if gen_best < fw.last_gen_best:
+            fw.mean, fw.best_position = sparks[k].copy(), sparks[k].copy()
+            fw.last_gen_best = fw.best_fitness = gen_best
+            fw.scale = min(fw.scale * AMPLITUDE_GROWTH, box)
+        else:
+            fw.scale *= AMPLITUDE_DECAY
+        return sparks[k], gen_best
 
-        if out_of_budget:
-            for i in exploded:
-                fw = fireworks[i]
-                trace.append(
-                    TraceRecord(
-                        gen=g,
-                        fw=i,
-                        gap=fw.last_gen_best - f_star,
-                        df=0.0,
-                        scale=fw.amplitude,
-                        restart=False,
-                        best_gap=best_f - f_star,
-                    )
-                )
-            if exploded:
-                generations = g
-            break
-
-        global_best = min(fw.last_gen_best for fw in fireworks)
-        restarted = set()
-        for i, fw in enumerate(fireworks):
-            if loser_out_check(fw, g, g_max, global_best, config.eps):
-                fireworks[i] = _fresh_uniform_firework(problem, amp0, rng)
-                evals += 1
-                if fireworks[i].best_fitness < best_f:
-                    best_f = fireworks[i].best_fitness
-                    best_x = fireworks[i].best_position.copy()
-                restarted.add(i)
-
-        for i, fw in enumerate(fireworks):
-            trace.append(
-                TraceRecord(
-                    gen=g,
-                    fw=i,
-                    gap=fw.last_gen_best - f_star,
-                    df=0.0,
-                    scale=fw.amplitude,
-                    restart=i in restarted,
-                    best_gap=best_f - f_star,
-                )
-            )
-        generations = g
-
-    return RunResult(
-        best_position=best_x,
-        best_fitness=best_f,
-        evals_used=evals,
-        generations=generations,
-        trace=trace,
-    )
+    return _drive(problem, config, [fresh() for _ in range(n)], fresh, burst)
 
 
 def random_search_run(problem, config: SwarmConfig) -> RunResult:
-    """Uniform random search over the full box, batched like one generation."""
+    """Uniform random search over the full box, batched like one generation.
+
+    It spends no evaluation on starting points and has no tournament, so it
+    keeps its own loop rather than the swarm's generation driver.
+    """
     rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)
     batch = n * lam

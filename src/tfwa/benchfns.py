@@ -155,7 +155,8 @@ def make_problem(
         raise ValueError(f"invalid bounds [{lb}, {ub}]")
     rng = np.random.default_rng([seed, dim, zlib.crc32(name.encode())])
     if shifted:
-        shift = rng.uniform(lb / 2.0, ub / 2.0, size=dim)
+        quarter = (ub - lb) / 4.0
+        shift = rng.uniform(lb + quarter, ub - quarter, size=dim)
     else:
         shift = np.zeros(dim)
     rotation = _rotation_matrix(dim, rng) if rotated else np.eye(dim)

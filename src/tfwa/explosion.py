@@ -101,7 +101,6 @@ class StrategyParams:
     c_1a: float = 0.0
     adapt_df: bool = True
     literal_psigma: bool = False
-    paths_first: bool = False
 
     def refresh_dynamic(self, scale, path_s, gen_count):
         """Recompute the per-generation rows for the given firework state."""
@@ -149,7 +148,6 @@ def derive_params(
     dim: int,
     adapt_df: bool = True,
     literal_psigma: bool = False,
-    paths_first: bool = False,
 ) -> StrategyParams:
     """Build the static strategy constants for population size ``lam``.
 
@@ -181,7 +179,6 @@ def derive_params(
         c_n=c_s,
         adapt_df=adapt_df,
         literal_psigma=literal_psigma,
-        paths_first=paths_first,
     )
 
 
@@ -254,16 +251,6 @@ def _evaluate_all(objective, xs):
     return np.array([float(objective.evaluate(x)) for x in xs])
 
 
-def _advance_paths(state, params, delta_m):
-    pc = (1.0 - params.c_c) * state.path_c + params.c_cn * params.h_gate * delta_m
-    if params.literal_psigma:
-        back = np.linalg.solve(state.shape, delta_m)
-    else:
-        back = _matrix_inv_sqrt(state.shape) @ delta_m
-    ps = (1.0 - params.c_s) * state.path_s + params.c_sn * back
-    return pc, ps
-
-
 def explode(state: FireworkState, params: StrategyParams, objective, rng):
     """Run one explosion generation, mutating ``state`` in place.
 
@@ -295,22 +282,20 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     mean_new = xs.T @ fused
     delta_m = mean_new - state.mean
 
-    if params.paths_first:
-        path_c_new, path_s_new = _advance_paths(state, params, delta_m)
-        rank_one_path = path_c_new
-    else:
-        rank_one_path = state.path_c
-
     dev = (xs - state.mean) / state.scale
     base = 1.0 - params.c_1a - params.c_mu * float(fused.sum())
     shape_new = (
         base * state.shape
-        + params.c_1 * np.outer(rank_one_path, rank_one_path)
+        + params.c_1 * np.outer(state.path_c, state.path_c)
         + params.c_mu * (dev.T * fused) @ dev
     )
 
-    if not params.paths_first:
-        path_c_new, path_s_new = _advance_paths(state, params, delta_m)
+    path_c_new = (1.0 - params.c_c) * state.path_c + params.c_cn * params.h_gate * delta_m
+    if params.literal_psigma:
+        back = np.linalg.solve(state.shape, delta_m)
+    else:
+        back = _matrix_inv_sqrt(state.shape) @ delta_m
+    path_s_new = (1.0 - params.c_s) * state.path_s + params.c_sn * back
 
     scale_new = state.scale * math.exp(
         min(1.0, 0.5 * params.c_n * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))

@@ -1,7 +1,7 @@
 """Benchmark harness: experiment runner, result files, statistics, CLI.
 
 The ``run`` subcommand executes a suite x dims x algos grid of repeated
-seeded runs and writes three artifacts into the output directory:
+seeded runs and writes four artifacts into the output directory:
 
 * ``results.csv`` with one row per run:
   ``problem,dim,algo,rep,seed,best_gap,evals,generations,restarts``

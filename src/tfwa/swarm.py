@@ -1,13 +1,16 @@
-"""Multi-firework run loop with loser-out tournament restarts.
+"""Multi-firework generation driver with loser-out tournament restarts.
 
-A swarm of ``n_fireworks`` t-distribution fireworks explodes synchronously.
-After every full generation each firework is checked against the current
-leader: if its recent per-generation improvement, extrapolated over the
-remaining generations, cannot close the gap between its own all-time best
-and the best current firework fitness, it is thrown out and restarted from
-a fresh uniform position.  Each firework carries its own degree-of-freedom
-growth factor, so one can anneal to Gaussian sampling quickly while another
-keeps heavy tails for longer.
+A swarm of ``n_fireworks`` fireworks explodes synchronously.  After every
+full generation each firework is checked against the current leader: if
+its recent per-generation improvement, extrapolated over the remaining
+generations, cannot close the gap between its own all-time best and the
+best current firework fitness, it is thrown out and restarted from a fresh
+uniform position.  The driver owns the budget, the tournament, best-so-far
+tracking and the trace; an algorithm supplies only how to make a fresh
+firework and how to explode one, so the t firework here and the baselines
+share the same accounting.  Each t firework carries its own
+degree-of-freedom growth factor, so one can anneal to Gaussian sampling
+quickly while another keeps heavy tails for longer.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class SwarmConfig:
     seed: int = 0
     adjust_df: bool = True
     literal_psigma: bool = False
-    paths_first: bool = False
 
 
 @dataclass
@@ -85,8 +87,6 @@ class SwarmState:
     fireworks: list
     params: list
     evals_used: int
-    best_position: np.ndarray
-    best_fitness: float
 
 
 def resolve_run_shape(problem, config: SwarmConfig):
@@ -123,6 +123,35 @@ def resolve_run_shape(problem, config: SwarmConfig):
     return n, int(lam), int(budget)
 
 
+def _fresh_firework(cls, problem, rng, **fields):
+    """A ``cls`` firework at a uniform mean in the centre half of the box.
+
+    The centre half is ``[lb + w/4, ub - w/4]`` with ``w = ub - lb``.  The
+    mean is evaluated once; ``fields`` supply the algorithm's own state.
+    """
+    quarter = (problem.ub - problem.lb) / 4.0
+    mean = rng.uniform(problem.lb + quarter, problem.ub - quarter, size=problem.dim)
+    f0 = float(problem.evaluate(mean))
+    return cls(
+        mean=mean, last_gen_best=f0, best_fitness=f0, best_position=mean.copy(), **fields
+    )
+
+
+def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkState:
+    d = problem.dim
+    return _fresh_firework(
+        FireworkState,
+        problem,
+        rng,
+        shape=np.eye(d),
+        df=config.df_init,
+        df_factor=float(df_factor),
+        path_c=np.zeros(d),
+        path_s=np.zeros(d),
+        scale=float(problem.ub - problem.lb),
+    )
+
+
 def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     """Initialise all fireworks and evaluate their means.
 
@@ -131,46 +160,17 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     both evolution paths start at zero.  Uses ``n_fireworks`` evaluations.
     """
     n, lam, _ = resolve_run_shape(problem, config)
-    d = problem.dim
-    fireworks = []
-    params = []
-    best_f = math.inf
-    best_x = None
-    for i in range(n):
-        mean = rng.uniform(problem.lb / 2.0, problem.ub / 2.0, size=d)
-        f0 = float(problem.evaluate(mean))
-        fireworks.append(
-            FireworkState(
-                mean=mean,
-                shape=np.eye(d),
-                df=config.df_init,
-                df_factor=float(config.df_factors[i]),
-                path_c=np.zeros(d),
-                path_s=np.zeros(d),
-                scale=float(problem.ub - problem.lb),
-                last_gen_best=f0,
-                best_fitness=f0,
-                best_position=mean.copy(),
-            )
+    fireworks = [_fresh_t_firework(problem, config, f, rng) for f in config.df_factors]
+    params = [
+        derive_params(
+            lam,
+            problem.dim,
+            adapt_df=config.adjust_df,
+            literal_psigma=config.literal_psigma,
         )
-        params.append(
-            derive_params(
-                lam,
-                d,
-                adapt_df=config.adjust_df,
-                literal_psigma=config.literal_psigma,
-                paths_first=config.paths_first,
-            )
-        )
-        if f0 < best_f:
-            best_f, best_x = f0, mean.copy()
-    return SwarmState(
-        fireworks=fireworks,
-        params=params,
-        evals_used=n,
-        best_position=best_x,
-        best_fitness=best_f,
-    )
+        for _ in range(n)
+    ]
+    return SwarmState(fireworks=fireworks, params=params, evals_used=n)
 
 
 def loser_out_check(fw: FireworkState, g, g_max, global_best, eps) -> bool:
@@ -194,100 +194,103 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
     The degree-of-freedom growth factor is the only field inherited from
     the thrown-out firework.
     """
-    d = problem.dim
-    mean = rng.uniform(problem.lb / 2.0, problem.ub / 2.0, size=d)
-    f0 = float(problem.evaluate(mean))
-    return FireworkState(
-        mean=mean,
-        shape=np.eye(d),
-        df=config.df_init,
-        df_factor=fw.df_factor,
-        path_c=np.zeros(d),
-        path_s=np.zeros(d),
-        scale=float(problem.ub - problem.lb),
-        last_gen_best=f0,
-        best_fitness=f0,
-        best_position=mean.copy(),
-    )
+    return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
 
 def run(problem, config: SwarmConfig) -> RunResult:
     """Full optimisation run on ``problem`` under ``config``.
 
-    Deterministic given ``config.seed``.  Explosions stop as soon as the
-    next one would push the evaluation count past the budget; tournament
-    restarts (one extra evaluation each) only happen after complete
-    generations, so the total count stays within budget + n_fireworks.
+    Deterministic given ``config.seed``.  Budget accounting, restarts and
+    the trace follow :func:`_drive`.
     """
     rng = np.random.default_rng(config.seed)
-    n, lam, budget = resolve_run_shape(problem, config)
     swarm = init_swarm(problem, config, rng)
+
+    def burst(i, fw):
+        xs, fits = explode(fw, swarm.params[i], problem, rng)
+        return xs[0], fits[0]
+
+    return _drive(
+        problem,
+        config,
+        swarm.fireworks,
+        fresh=lambda fw: restart_firework(fw, problem, config, rng),
+        burst=burst,
+    )
+
+
+def _drive(problem, config: SwarmConfig, fireworks, fresh, burst) -> RunResult:
+    """Generation loop shared by every firework algorithm.
+
+    ``fireworks`` holds the initial fireworks, one evaluation each.  Every
+    generation explodes the fireworks in turn with ``burst(i, fw)``, which
+    updates ``fw`` in place and returns the generation's best spark and its
+    fitness.  A firework whose explosion raises
+    :class:`DegenerateStateError` is replaced at once by ``fresh(fw)`` (a
+    new firework, one evaluation); after a complete generation the
+    loser-out tournament replaces its losers the same way.
+
+    Explosions stop as soon as the next one would push the evaluation count
+    past the budget; tournament restarts only happen after complete
+    generations, so the total count stays within budget + n_fireworks.
+    """
+    n, lam, budget = resolve_run_shape(problem, config)
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))
+    evals = n
+    best_f, best_x = math.inf, None
+
+    def track(f, x):
+        nonlocal best_f, best_x
+        if f < best_f:
+            best_f, best_x = float(f), x.copy()
+
+    def restart(i):
+        nonlocal evals
+        fireworks[i] = fresh(fireworks[i])
+        evals += 1
+        track(fireworks[i].best_fitness, fireworks[i].best_position)
+        restarted.add(i)
+
+    for fw in fireworks:
+        track(fw.best_fitness, fw.best_position)
 
     trace = []
     generations = 0
     g = 0
-    out_of_budget = False
-    while not out_of_budget:
+    full = True
+    while full:
         g += 1
-        exploded = []
         restarted = set()
+        rows = range(n)
         for i in range(n):
-            if swarm.evals_used + lam > budget:
-                out_of_budget = True
+            if evals + lam > budget:
+                # out of budget: only fireworks before i took part
+                rows = range(i)
                 break
-            fw = swarm.fireworks[i]
             try:
-                xs, fits = explode(fw, swarm.params[i], problem, rng)
-                swarm.evals_used += lam
-                if fits[0] < swarm.best_fitness:
-                    swarm.best_fitness = float(fits[0])
-                    swarm.best_position = xs[0].copy()
-                exploded.append(i)
+                x, f = burst(i, fireworks[i])
             except DegenerateStateError as exc:
                 if exc.fitnesses is not None:
-                    swarm.evals_used += lam
+                    evals += lam
                     k = int(np.argmin(exc.fitnesses))
-                    if exc.fitnesses[k] < swarm.best_fitness:
-                        swarm.best_fitness = float(exc.fitnesses[k])
-                        swarm.best_position = exc.sparks[k].copy()
-                swarm.fireworks[i] = restart_firework(fw, problem, config, rng)
-                swarm.evals_used += 1
-                _track_best(swarm, swarm.fireworks[i])
-                restarted.add(i)
+                    track(exc.fitnesses[k], exc.sparks[k])
+                restart(i)
+            else:
+                evals += lam
+                track(f, x)
 
-        if out_of_budget:
-            for i in sorted(set(exploded) | restarted):
-                fw = swarm.fireworks[i]
-                trace.append(
-                    TraceRecord(
-                        gen=g,
-                        fw=i,
-                        gap=fw.last_gen_best - f_star,
-                        df=fw.df,
-                        scale=fw.scale,
-                        restart=i in restarted,
-                        best_gap=swarm.best_fitness - f_star,
-                    )
-                )
-            if exploded or restarted:
-                generations = g
-            break
+        full = len(rows) == n
+        if full:
+            global_best = min(fw.last_gen_best for fw in fireworks)
+            for i in range(n):
+                if i not in restarted and loser_out_check(
+                    fireworks[i], g, g_max, global_best, config.eps
+                ):
+                    restart(i)
 
-        global_best = min(fw.last_gen_best for fw in swarm.fireworks)
-        for i in range(n):
-            if i in restarted:
-                continue
-            fw = swarm.fireworks[i]
-            if loser_out_check(fw, g, g_max, global_best, config.eps):
-                swarm.fireworks[i] = restart_firework(fw, problem, config, rng)
-                swarm.evals_used += 1
-                _track_best(swarm, swarm.fireworks[i])
-                restarted.add(i)
-
-        for i in range(n):
-            fw = swarm.fireworks[i]
+        for i in rows:
+            fw = fireworks[i]
             trace.append(
                 TraceRecord(
                     gen=g,
@@ -296,21 +299,16 @@ def run(problem, config: SwarmConfig) -> RunResult:
                     df=fw.df,
                     scale=fw.scale,
                     restart=i in restarted,
-                    best_gap=swarm.best_fitness - f_star,
+                    best_gap=best_f - f_star,
                 )
             )
-        generations = g
+        if rows:
+            generations = g
 
     return RunResult(
-        best_position=swarm.best_position.copy(),
-        best_fitness=swarm.best_fitness,
-        evals_used=swarm.evals_used,
+        best_position=best_x,
+        best_fitness=best_f,
+        evals_used=evals,
         generations=generations,
         trace=trace,
     )
-
-
-def _track_best(swarm: SwarmState, fw: FireworkState):
-    if fw.best_fitness < swarm.best_fitness:
-        swarm.best_fitness = fw.best_fitness
-        swarm.best_position = fw.best_position.copy()

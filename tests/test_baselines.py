@@ -3,11 +3,9 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from tfwa.baselines import (
     DF_GAUSSIAN_LIMIT,
-    BaselineConfig,
     gaussian_limit_run,
     random_search_run,
     uniform_fwa_run,
@@ -134,16 +132,6 @@ def test_uniform_fwa_improves_on_sphere():
     result = uniform_fwa_run(problem, SwarmConfig(seed=0, budget=5_000))
     start = max(r.gap for r in result.trace if r.gen == 1)
     assert result.best_fitness - problem.f_star < start
-
-
-def test_uniform_fwa_rejects_bad_amplitude():
-    problem = make_problem("sphere", 2, seed=0)
-    with pytest.raises(ValueError):
-        uniform_fwa_run(
-            problem,
-            SwarmConfig(seed=0, budget=500),
-            BaselineConfig(amplitude_init=500.0),
-        )
 
 
 def test_random_search_budget_and_determinism():

@@ -1,0 +1,112 @@
+"""Run invariants shared by every algorithm: box, budget, trace, determinism.
+
+The t firework, its Gaussian limit and the uniform fireworks baseline share
+one generation driver (budget check, best-so-far tracking, trace rows and
+the loser-out tournament of Li & Tan, "Loser-Out Tournament-Based Fireworks
+Algorithm for Multimodal Function Optimization", IEEE TEVC 2018); random
+search keeps its own loop.  These checks hold for all four on any box.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from tfwa.baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+from tfwa.benchfns import make_problem
+from tfwa.swarm import SwarmConfig, run
+
+RUNNERS = [run, gaussian_limit_run, uniform_fwa_run, random_search_run]
+RUNNER_IDS = ["tfwa", "gaussian-limit", "uniform-fwa", "random-search"]
+
+
+class _Recording:
+    """Delegates to a problem and keeps every point it is asked to evaluate."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim, self.lb, self.ub = problem.dim, problem.lb, problem.ub
+        self.f_star = problem.f_star
+        self.points = []
+
+    def evaluate(self, x):
+        self.points.append(np.array(x, dtype=float)[None, :])
+        return self.problem.evaluate(x)
+
+    def evaluate_batch(self, xs):
+        self.points.append(np.array(xs, dtype=float))
+        return self.problem.evaluate_batch(xs)
+
+    def all_points(self):
+        return np.concatenate(self.points)
+
+
+def _assert_in_box(points, lb, ub):
+    assert np.all(points >= lb) and np.all(points <= ub), (
+        f"points outside [{lb}, {ub}]: min {points.min()}, max {points.max()}"
+    )
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+def test_asymmetric_box_keeps_optimum_and_starts_inside(runner):
+    problem = make_problem("sphere", 4, seed=0, lb=5.0, ub=10.0)
+    _assert_in_box(problem.optimum()[0], 5.0, 10.0)
+    recording = _Recording(problem)
+    runner(recording, SwarmConfig(seed=0, budget=400))
+    _assert_in_box(recording.all_points(), 5.0, 10.0)
+
+
+@hst.composite
+def _cases(draw):
+    lb = draw(hst.floats(-1e3, 1e3))
+    ub = lb + draw(hst.floats(1e-2, 2e3))
+    n = draw(hst.integers(1, 3))
+    lam = draw(hst.integers(2, 8))
+    config = SwarmConfig(
+        n_fireworks=n,
+        df_factors=(1.05, 10.0, 2.0)[:n],
+        sparks_per_firework=lam,
+        budget=n * (lam + 1) + draw(hst.integers(0, 150)),
+        seed=draw(hst.integers(0, 2**16)),
+    )
+    name = draw(hst.sampled_from(["sphere", "rastrigin", "rosenbrock"]))
+    problem = make_problem(name, draw(hst.integers(2, 5)), seed=0, lb=lb, ub=ub)
+    return problem, config
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+@settings(max_examples=20, deadline=None)
+@given(case=_cases())
+def test_run_invariants(runner, case):
+    problem, config = case
+    recording = _Recording(problem)
+    result = runner(recording, config)
+
+    slack = 0 if runner is random_search_run else config.n_fireworks
+    assert result.evals_used <= config.budget + slack
+    _assert_in_box(problem.optimum()[0], problem.lb, problem.ub)
+    _assert_in_box(recording.all_points(), problem.lb, problem.ub)
+
+    gaps = [r.best_gap for r in result.trace]
+    assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+
+    assert result.trace[-1].gen == result.generations
+    rows = {}
+    for r in result.trace:
+        rows.setdefault(r.gen, []).append(r.fw)
+    assert sorted(rows) == list(range(1, result.generations + 1))
+    per_gen = list(range(1 if runner is random_search_run else config.n_fireworks))
+    for g in range(1, result.generations):
+        assert rows[g] == per_gen
+    last = rows[result.generations]
+    assert last == sorted(set(last)) and set(last) <= set(per_gen)
+
+    again = runner(problem, config)
+    assert again.best_fitness == result.best_fitness
+    assert np.array_equal(again.best_position, result.best_position)
+    assert (again.evals_used, again.generations) == (result.evals_used, result.generations)
+    assert [dataclasses.astuple(r) for r in again.trace] == [
+        dataclasses.astuple(r) for r in result.trace
+    ]
