@@ -21,6 +21,7 @@ from .swarm import (
     RunResult,
     SwarmConfig,
     TraceRecord,
+    _best_of,
     _drive,
     _fresh_firework,
     resolve_run_shape,
@@ -72,7 +73,7 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     the swarm run's.
     """
     rng = np.random.default_rng(config.seed)
-    n, lam, _ = resolve_run_shape(problem, config)
+    n, lam, budget = resolve_run_shape(problem, config)
     box = float(problem.ub - problem.lb)
 
     def fresh(_old=None):
@@ -80,9 +81,7 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
 
     def burst(_i, fw):
         sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, rng)
-        fits = problem.evaluate_batch(sparks)
-        k = int(np.argmin(fits))
-        gen_best = float(fits[k])
+        k, gen_best = _best_of(problem.evaluate_batch(sparks))
         fw.gen_improvement = fw.last_gen_best - gen_best
         # The firework only ever moves to an improving spark, so its current
         # fitness is also its all-time best.
@@ -94,7 +93,8 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
             fw.scale *= AMPLITUDE_DECAY
         return sparks[k], gen_best
 
-    return _drive(problem, config, [fresh() for _ in range(n)], fresh, burst)
+    fireworks = [fresh() for _ in range(n)]
+    return _drive(problem, config.eps, lam, budget, fireworks, fresh, burst)
 
 
 def random_search_run(problem, config: SwarmConfig) -> RunResult:
@@ -117,14 +117,14 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
         xs = rng.uniform(problem.lb, problem.ub, size=(batch, problem.dim))
         fits = problem.evaluate_batch(xs)
         evals += batch
-        k = int(np.argmin(fits))
-        if fits[k] < best_f:
-            best_f, best_x = float(fits[k]), xs[k].copy()
+        k, f = _best_of(fits)
+        if f < best_f:
+            best_f, best_x = f, xs[k].copy()
         trace.append(
             TraceRecord(
                 gen=g,
                 fw=0,
-                gap=float(fits[k]) - f_star,
+                gap=f - f_star,
                 df=0.0,
                 scale=float(problem.ub - problem.lb),
                 restart=False,

@@ -8,17 +8,25 @@ rank-mu (weighted spark) updates, the global step size follows cumulative
 path length control, and the degrees of freedom grow whenever the generation
 improved on the previous one, so the sampler anneals from heavy tails toward
 a Gaussian.
+
+Every use of the shape matrix C = B D^2 B' goes through its eigenpair, which
+the firework caches: sparks are ``B D z`` scaled by the t mixing factor,
+their squared Mahalanobis distance is ``|z|^2`` times that factor squared,
+and the step-size path is whitened by ``C^{-1/2} = B D^{-1} B'`` (Hansen, "The
+CMA Evolution Strategy: A Tutorial", arXiv:1604.00772).  The one
+eigendecomposition per generation is the one :func:`regularize_covariance`
+makes anyway.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .natgrad import natgrad_weight
-from .tdist import TDistribution
+from .tdist import t_draws
 
 # Degrees of freedom are never grown past this cap; far beyond the Gaussian
 # sampling cutoff already.
@@ -52,7 +60,9 @@ class FireworkState:
     ``gen_improvement`` the raw decrease of that value in the most recent
     generation (may be negative), and ``improvement`` the last accepted
     improvement used by the loser-out tournament.  ``gen_count`` counts
-    generations since the last (re)start.
+    generations since the last (re)start.  ``eigvals`` and ``eigvecs`` are
+    the eigenpair of ``shape``, computed at construction and rewritten by
+    :func:`explode` together with ``shape``.
     """
 
     mean: np.ndarray
@@ -68,6 +78,11 @@ class FireworkState:
     improvement: float = 0.0
     gen_improvement: float = 0.0
     gen_count: int = 0
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.shape)
 
     @property
     def dim(self) -> int:
@@ -79,7 +94,8 @@ class StrategyParams:
     """Static and per-generation strategy constants for one firework.
 
     The static rows are fixed by the population size and dimension at
-    construction (see :func:`derive_params`).  The dynamic rows ``c_cn``,
+    construction (see :func:`derive_params`); ``mu`` counts the positive
+    rank weights, which lead ``raw_weights``.  The dynamic rows ``c_cn``,
     ``c_sn``, ``h_gate`` and ``c_1a`` are recomputed by :func:`explode` at
     the start of every generation from the current step size, step-size path
     and generation counter, so an instance must not be shared between
@@ -89,6 +105,7 @@ class StrategyParams:
     lam: int
     dim: int
     raw_weights: np.ndarray
+    mu: int
     mu_eff: float
     c_c: float
     c_s: float
@@ -171,6 +188,7 @@ def derive_params(
         lam=lam,
         dim=dim,
         raw_weights=w,
+        mu=int(np.count_nonzero(w)),
         mu_eff=mu_eff,
         c_c=c_c,
         c_s=c_s,
@@ -212,15 +230,17 @@ def repair_bounds(x, lb, ub, rng):
     return out
 
 
-def regularize_covariance(shape) -> np.ndarray:
+def regularize_covariance(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project a shape matrix back onto the symmetric positive definite cone.
 
     Symmetrises, then raises any eigenvalue below
-    ``1e-12 * max(1, trace / d)`` to that floor.  A matrix that is already
-    comfortably positive definite is returned after symmetrisation only, so
-    the identity is a fixed point.  Non-finite entries (or a failed
-    eigendecomposition) mean the adaptive state has collapsed and raise
-    :class:`DegenerateStateError`.
+    ``1e-12 * max(1, trace / d)`` to that floor.  Returns ``(C, vals, vecs)``:
+    the projected matrix and its eigenpair, ascending eigenvalues with the
+    eigenvectors as columns.  A matrix that is already comfortably positive
+    definite is returned after symmetrisation only, so the identity is a
+    fixed point, and the pair is then exactly ``eigh`` of the returned
+    matrix.  Non-finite entries (or a failed eigendecomposition) mean the
+    adaptive state has collapsed and raise :class:`DegenerateStateError`.
     """
     shape = np.asarray(shape, dtype=float)
     if not np.all(np.isfinite(shape)):
@@ -232,16 +252,10 @@ def regularize_covariance(shape) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DegenerateStateError("shape matrix eigendecomposition failed") from exc
     if vals[0] >= floor:
-        return sym
+        return sym, vals, vecs
     vals = np.maximum(vals, floor)
     out = (vecs * vals) @ vecs.T
-    return 0.5 * (out + out.T)
-
-
-def _matrix_inv_sqrt(shape):
-    vals, vecs = np.linalg.eigh(shape)
-    vals = np.maximum(vals, 1e-18)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return 0.5 * (out + out.T), vals, vecs
 
 
 def _evaluate_all(objective, xs):
@@ -261,28 +275,27 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     computed, so a raised :class:`DegenerateStateError` leaves ``state``
     untouched apart from carrying the evaluated sparks on the exception.
     """
-    lam, d = params.lam, params.dim
+    lam, d, mu = params.lam, params.dim, params.mu
     if not (np.isfinite(state.scale) and state.scale > 0):
         raise DegenerateStateError(f"step size collapsed to {state.scale}")
     params.refresh_dynamic(state.scale, state.path_s, state.gen_count)
-    try:
-        dist = TDistribution(np.zeros(d), state.shape, state.df)
-    except ValueError as exc:
-        raise DegenerateStateError(str(exc)) from exc
+    root = np.sqrt(state.eigvals)
 
-    draws = dist.sample(lam, rng)
+    draws, s = t_draws(state.eigvecs * root, state.df, lam, rng)
     xs = repair_bounds(state.mean + state.scale * draws, objective.lb, objective.ub, rng)
     fits = _evaluate_all(objective, xs)
 
     order = np.argsort(fits, kind="stable")
     xs, fits = xs[order], fits[order]
-    s = dist.mahalanobis(draws[order])
-    fused = fuse_weights(params.raw_weights, natgrad_weight(s, d, state.df))
+    # rank weights past the first mu are zero, so only the leading sparks
+    # enter the recombination
+    top = xs[:mu]
+    fused = fuse_weights(params.raw_weights[:mu], natgrad_weight(s[order[:mu]], d, state.df))
 
-    mean_new = xs.T @ fused
+    mean_new = top.T @ fused
     delta_m = mean_new - state.mean
 
-    dev = (xs - state.mean) / state.scale
+    dev = (top - state.mean) / state.scale
     base = 1.0 - params.c_1a - params.c_mu * float(fused.sum())
     shape_new = (
         base * state.shape
@@ -291,10 +304,9 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     )
 
     path_c_new = (1.0 - params.c_c) * state.path_c + params.c_cn * params.h_gate * delta_m
-    if params.literal_psigma:
-        back = np.linalg.solve(state.shape, delta_m)
-    else:
-        back = _matrix_inv_sqrt(state.shape) @ delta_m
+    # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
+    coef = state.eigvecs.T @ delta_m
+    back = state.eigvecs @ (coef / (state.eigvals if params.literal_psigma else root))
     path_s_new = (1.0 - params.c_s) * state.path_s + params.c_sn * back
 
     scale_new = state.scale * math.exp(
@@ -302,14 +314,17 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     )
 
     try:
-        shape_new = regularize_covariance(shape_new)
+        shape_new, vals_new, vecs_new = regularize_covariance(shape_new)
     except DegenerateStateError as exc:
         exc.sparks, exc.fitnesses = xs, fits
         raise
 
     gen_best = float(fits[0])
+    if gen_best != gen_best:  # every spark is NaN, which counts as +inf
+        gen_best = math.inf
     state.mean = mean_new
     state.shape = shape_new
+    state.eigvals, state.eigvecs = vals_new, vecs_new
     state.path_c = path_c_new
     state.path_s = path_s_new
     state.scale = scale_new

@@ -11,6 +11,10 @@ firework and how to explode one, so the t firework here and the baselines
 share the same accounting.  Each t firework carries its own
 degree-of-freedom growth factor, so one can anneal to Gaussian sampling
 quickly while another keeps heavy tails for longer.
+
+A NaN fitness counts as ``+inf``, the worst value, wherever a best is
+picked, so an objective that is undefined on part of the box cannot hide
+the finite values it returned elsewhere.
 """
 
 from __future__ import annotations
@@ -84,9 +88,12 @@ class RunResult:
 
 @dataclass
 class SwarmState:
+    """Fresh fireworks, their strategy constants and the resolved budget."""
+
     fireworks: list
     params: list
     evals_used: int
+    budget: int
 
 
 def resolve_run_shape(problem, config: SwarmConfig):
@@ -132,6 +139,8 @@ def _fresh_firework(cls, problem, rng, **fields):
     quarter = (problem.ub - problem.lb) / 4.0
     mean = rng.uniform(problem.lb + quarter, problem.ub - quarter, size=problem.dim)
     f0 = float(problem.evaluate(mean))
+    if f0 != f0:
+        f0 = math.inf
     return cls(
         mean=mean, last_gen_best=f0, best_fitness=f0, best_position=mean.copy(), **fields
     )
@@ -159,7 +168,7 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     the shape matrix starts at identity with step size ``ub - lb``, and
     both evolution paths start at zero.  Uses ``n_fireworks`` evaluations.
     """
-    n, lam, _ = resolve_run_shape(problem, config)
+    n, lam, budget = resolve_run_shape(problem, config)
     fireworks = [_fresh_t_firework(problem, config, f, rng) for f in config.df_factors]
     params = [
         derive_params(
@@ -170,7 +179,22 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
         )
         for _ in range(n)
     ]
-    return SwarmState(fireworks=fireworks, params=params, evals_used=n)
+    return SwarmState(fireworks=fireworks, params=params, evals_used=n, budget=budget)
+
+
+def _best_of(fits):
+    """Index and value of the smallest fitness, a NaN counting as ``+inf``.
+
+    ``np.argmin`` picks the first NaN when there is one, so the fallback
+    only runs after it did; a finite batch pays one scalar check.
+    """
+    k = int(np.argmin(fits))
+    f = float(fits[k])
+    if f != f:
+        clean = np.where(np.isnan(fits), np.inf, fits)
+        k = int(np.argmin(clean))
+        f = float(clean[k])
+    return k, f
 
 
 def loser_out_check(fw: FireworkState, g, g_max, global_best, eps) -> bool:
@@ -212,20 +236,24 @@ def run(problem, config: SwarmConfig) -> RunResult:
 
     return _drive(
         problem,
-        config,
+        config.eps,
+        swarm.params[0].lam,
+        swarm.budget,
         swarm.fireworks,
         fresh=lambda fw: restart_firework(fw, problem, config, rng),
         burst=burst,
     )
 
 
-def _drive(problem, config: SwarmConfig, fireworks, fresh, burst) -> RunResult:
+def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
     """Generation loop shared by every firework algorithm.
 
-    ``fireworks`` holds the initial fireworks, one evaluation each.  Every
-    generation explodes the fireworks in turn with ``burst(i, fw)``, which
-    updates ``fw`` in place and returns the generation's best spark and its
-    fitness.  A firework whose explosion raises
+    The caller resolves the run shape (:func:`resolve_run_shape`): ``lam``
+    sparks per explosion, ``budget`` evaluations in all, tournament
+    threshold ``eps``.  ``fireworks`` holds the initial fireworks, one
+    evaluation each.  Every generation explodes the fireworks in turn with
+    ``burst(i, fw)``, which updates ``fw`` in place and returns the
+    generation's best spark and its fitness.  A firework whose explosion raises
     :class:`DegenerateStateError` is replaced at once by ``fresh(fw)`` (a
     new firework, one evaluation); after a complete generation the
     loser-out tournament replaces its losers the same way.
@@ -234,7 +262,7 @@ def _drive(problem, config: SwarmConfig, fireworks, fresh, burst) -> RunResult:
     past the budget; tournament restarts only happen after complete
     generations, so the total count stays within budget + n_fireworks.
     """
-    n, lam, budget = resolve_run_shape(problem, config)
+    n = len(fireworks)
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))
     evals = n
@@ -273,8 +301,8 @@ def _drive(problem, config: SwarmConfig, fireworks, fresh, burst) -> RunResult:
             except DegenerateStateError as exc:
                 if exc.fitnesses is not None:
                     evals += lam
-                    k = int(np.argmin(exc.fitnesses))
-                    track(exc.fitnesses[k], exc.sparks[k])
+                    k, f = _best_of(exc.fitnesses)
+                    track(f, exc.sparks[k])
                 restart(i)
             else:
                 evals += lam
@@ -285,7 +313,7 @@ def _drive(problem, config: SwarmConfig, fireworks, fresh, burst) -> RunResult:
             global_best = min(fw.last_gen_best for fw in fireworks)
             for i in range(n):
                 if i not in restarted and loser_out_check(
-                    fireworks[i], g, g_max, global_best, config.eps
+                    fireworks[i], g, g_max, global_best, eps
                 ):
                     restart(i)
 

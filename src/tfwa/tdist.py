@@ -8,11 +8,15 @@ a Gaussian with covariance ``scale``; ``df = 1`` is the multivariate Cauchy.
 
 Sampling uses the classic normal / chi-squared compound representation
 
-    x = mean + L z * sqrt(df / u),  z ~ N(0, I),  u ~ chi2(df),
+    x = mean + A z * sqrt(df / u),  z ~ N(0, I),  u ~ chi2(df),
 
-where ``L`` is the lower Cholesky factor of ``scale``.  For extremely large
-``df`` the mixing factor is numerically 1 and the sampler falls back to the
-plain Gaussian branch (see ``GAUSSIAN_DF_CUTOFF``).
+where ``A`` is any factor with ``A A' = scale``: :class:`TDistribution`
+uses the lower Cholesky factor, the explosion operator the eigen-basis
+factor ``B D`` it already holds.  The squared Mahalanobis distance of such a
+draw is ``|z|^2 * df / u`` whatever the factor, so :func:`t_draws` returns it
+without a solve.  For extremely large ``df`` the mixing factor is
+numerically 1 and the sampler falls back to the plain Gaussian branch (see
+``GAUSSIAN_DF_CUTOFF``).
 """
 
 from __future__ import annotations
@@ -29,6 +33,25 @@ from scipy.linalg import solve_triangular
 GAUSSIAN_DF_CUTOFF = 1.0e7
 
 _SYMMETRY_TOL = 1e-10
+
+
+def t_draws(factor, df, n, rng):
+    """Draw ``n`` centred t vectors with scale ``factor @ factor.T``.
+
+    Returns ``(y, s)``: the (n, d) draws and their (n,) squared Mahalanobis
+    distances under that scale, ``|z|^2 * df / u``.  ``rng`` is a
+    ``numpy.random.Generator``; the normal block is drawn before the
+    chi-squared mixing variables, which are skipped at or above
+    ``GAUSSIAN_DF_CUTOFF``.
+    """
+    z = rng.standard_normal((n, factor.shape[1]))
+    y = z @ factor.T
+    s = np.einsum("ij,ij->i", z, z)
+    if df < GAUSSIAN_DF_CUTOFF:
+        mix = df / rng.chisquare(df, size=n)
+        y *= np.sqrt(mix)[:, None]
+        s *= mix
+    return y, s
 
 
 class TDistribution:
@@ -95,10 +118,7 @@ class TDistribution:
         """
         if n < 1:
             raise ValueError("need at least one draw")
-        y = rng.standard_normal((n, self.dim)) @ self.chol.T
-        if self.df < GAUSSIAN_DF_CUTOFF:
-            u = rng.chisquare(self.df, size=n)
-            y *= np.sqrt(self.df / u)[:, None]
+        y, _ = t_draws(self.chol, self.df, n, rng)
         return self.mean + y
 
     def mahalanobis(self, x):

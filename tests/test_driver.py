@@ -4,10 +4,12 @@ The t firework, its Gaussian limit and the uniform fireworks baseline share
 one generation driver (budget check, best-so-far tracking, trace rows and
 the loser-out tournament of Li & Tan, "Loser-Out Tournament-Based Fireworks
 Algorithm for Multimodal Function Optimization", IEEE TEVC 2018); random
-search keeps its own loop.  These checks hold for all four on any box.
+search keeps its own loop.  These checks hold for all four on any box, and
+for objectives that return NaN, which count as +inf.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -110,3 +112,40 @@ def test_run_invariants(runner, case):
     assert [dataclasses.astuple(r) for r in again.trace] == [
         dataclasses.astuple(r) for r in result.trace
     ]
+
+
+class _NanSphere:
+    """Sphere that is NaN wherever ``x[0] > nan_above``; keeps every finite value."""
+
+    def __init__(self, dim, nan_above):
+        self.problem = make_problem("sphere", dim, seed=0)
+        self.dim, self.lb, self.ub = dim, self.problem.lb, self.problem.ub
+        self.f_star = self.problem.f_star
+        self.nan_above = nan_above
+        self.finite = []
+
+    def evaluate_batch(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        fits = self.problem.evaluate_batch(xs)
+        fits[xs[:, 0] > self.nan_above] = np.nan
+        self.finite.extend(fits[~np.isnan(fits)].tolist())
+        return fits
+
+    def evaluate(self, x):
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+@pytest.mark.parametrize("nan_above", [50.0, -math.inf], ids=["nan-part", "nan-all"])
+def test_nan_fitness_counts_as_worst(runner, nan_above):
+    problem = _NanSphere(5, nan_above)
+    config = SwarmConfig(seed=1, budget=5000)
+    result = runner(problem, config)
+
+    slack = 0 if runner is random_search_run else config.n_fireworks
+    assert result.evals_used <= config.budget + slack
+    assert not any(math.isnan(r.gap) or math.isnan(r.best_gap) for r in result.trace)
+    if problem.finite:
+        assert result.best_fitness == min(problem.finite)
+    else:
+        assert result.best_fitness == math.inf

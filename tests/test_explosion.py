@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import tfwa.tdist
 from tfwa.benchfns import make_problem
 from tfwa.explosion import (
     DF_CAP,
@@ -167,15 +168,24 @@ def test_repair_bounds_resample_is_uniform():
     assert abs(out.mean() - 0.0) < 0.01 * 200.0
 
 
+def _assert_pair_rebuilds(out, vals, vecs):
+    assert np.all(np.diff(vals) >= 0)
+    rebuilt = (vecs * vals) @ vecs.T
+    assert np.linalg.norm(rebuilt - out) <= 1e-12 * np.linalg.norm(out)
+
+
 def test_regularize_identity_fixed_point():
-    assert np.array_equal(regularize_covariance(np.eye(3)), np.eye(3))
+    out, vals, vecs = regularize_covariance(np.eye(3))
+    assert np.array_equal(out, np.eye(3))
+    _assert_pair_rebuilds(out, vals, vecs)
 
 
 def test_regularize_lifts_negative_eigenvalue():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     c = q @ np.diag([1.0, 0.5, -1e-15]) @ q.T
-    out = regularize_covariance(c)
+    out, pair_vals, pair_vecs = regularize_covariance(c)
+    _assert_pair_rebuilds(out, pair_vals, pair_vecs)
     vals = np.linalg.eigvalsh(out)
     floor = 1e-12 * max(1.0, np.trace(out) / 3.0)
     # reconstruction rounding is ~eps relative to the unit eigenvalues,
@@ -187,8 +197,9 @@ def test_regularize_lifts_negative_eigenvalue():
 
 def test_regularize_symmetrises():
     c = np.array([[1.0, 0.2 + 1e-9], [0.2, 1.0]])
-    out = regularize_covariance(c)
+    out, vals, vecs = regularize_covariance(c)
     assert np.array_equal(out, out.T)
+    _assert_pair_rebuilds(out, vals, vecs)
 
 
 def test_regularize_rejects_non_finite():
@@ -361,3 +372,43 @@ def test_explode_literal_psigma_variant_differs_but_works():
     assert finals[0] != finals[1]
     assert finals[0] < 1e-10
     assert finals[1] < 2.0
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["whitened", "literal-psigma"])
+def test_explode_factorises_once(monkeypatch, literal):
+    # sampling, Mahalanobis distances and path whitening all reuse the
+    # cached eigenpair; the only factorisation is regularize_covariance's
+    problem = make_problem("rastrigin", 5, seed=0)
+    state = _fresh_state(5, scale=50.0, f0=1e9)
+    params = derive_params(12, 5, literal_psigma=literal)
+    rng = np.random.default_rng(12)
+    explode(state, params, problem, rng)
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("eigh", "cholesky", "solve"):
+        counting(np.linalg, name)
+    counting(tfwa.tdist, "solve_triangular")
+    explode(state, params, problem, rng)
+    assert calls == {"eigh": 1}
+
+
+def test_cached_eigenpair_tracks_shape():
+    problem = make_problem("elliptic", 5, seed=0)
+    state = _fresh_state(5, scale=50.0, f0=float(problem.evaluate(np.zeros(5))))
+    params = derive_params(12, 5)
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        explode(state, params, problem, rng)
+        rebuilt = (state.eigvecs * state.eigvals) @ state.eigvecs.T
+        assert np.linalg.norm(rebuilt - state.shape) <= 1e-10 * np.linalg.norm(state.shape)
+    # the loop must have adapted C well away from the identity
+    assert state.eigvals[-1] / state.eigvals[0] > 1e3

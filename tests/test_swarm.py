@@ -82,6 +82,13 @@ def _fw(improvement=0.0, gen_improvement=0.0, best_fitness=10.0):
 
 
 def test_loser_out_zero_improvement_with_gap():
+    """The loser-out rule of Li & Tan, "Loser-Out Tournament-Based Fireworks
+    Algorithm for Multimodal Function Optimization" (IEEE TEVC 2018).
+
+    A firework loses when its accepted per-generation improvement, kept up
+    over the remaining generations, cannot reach the best current fitness.
+    This and the following ``test_loser_out_*`` tests check that rule.
+    """
     fw = _fw(best_fitness=10.0)
     assert loser_out_check(fw, g=0, g_max=100, global_best=5.0, eps=1e-6) is True
 

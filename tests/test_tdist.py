@@ -8,7 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tfwa.tdist import GAUSSIAN_DF_CUTOFF, TDistribution
+from tfwa.tdist import GAUSSIAN_DF_CUTOFF, TDistribution, t_draws
 
 
 def test_identity_construction():
@@ -169,6 +169,41 @@ def test_sample_shape_and_determinism():
     b = dist.sample(100, np.random.default_rng(42))
     assert a.shape == (100, 2)
     assert np.array_equal(a, b)
+
+
+# frozen draws, seed 2024: sampling must stay on the same generator stream
+PIN_SCALE = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.2], [-0.3, 0.2, 0.8]])
+PIN_DRAWS = {
+    3.0: [
+        [2.158470431882182, -0.15051410514655061, 1.415306834484896],
+        [0.19804409239158127, -3.1730211735910534, 0.4479953753689673],
+    ],
+    1.0e8: [
+        [2.455023344883565, 0.32292951031340733, 1.6496131236972698],
+        [-0.376283669407808, -4.013090582370567, 0.4107518070079218],
+    ],
+}
+
+
+@pytest.mark.parametrize("df", sorted(PIN_DRAWS))
+def test_sample_pinned_values(df):
+    dist = TDistribution([1.0, -2.0, 0.5], PIN_SCALE, df)
+    x = dist.sample(2, np.random.default_rng(2024))
+    assert np.allclose(x, PIN_DRAWS[df], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("df", [3.0, GAUSSIAN_DF_CUTOFF])
+def test_t_draws_distance_matches_mahalanobis(df):
+    # the eigen-basis factor B D reproduces the scale, and |z|^2 df/u is the
+    # distance the Cholesky solve computes
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(4, 4))
+    scale = a @ a.T + 0.5 * np.eye(4)
+    vals, vecs = np.linalg.eigh(scale)
+    y, s = t_draws(vecs * np.sqrt(vals), df, 500, rng)
+    assert y.shape == (500, 4) and s.shape == (500,)
+    ref = TDistribution(np.zeros(4), scale, df).mahalanobis(y)
+    assert np.allclose(s, ref, rtol=1e-10, atol=0.0)
 
 
 def test_sample_covariance_df5():
