@@ -9,15 +9,9 @@ with shifted/rotated test functions, reference baselines and rank-sum
 statistics rounds out the package.
 """
 
-from .baselines import (
-    DF_GAUSSIAN_LIMIT,
-    gaussian_limit_run,
-    random_search_run,
-    uniform_fwa_run,
-)
+from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
 from .benchfns import PROBLEM_NAMES, BenchmarkProblem, make_problem
 from .explosion import (
-    DF_CAP,
     DegenerateStateError,
     FireworkState,
     StrategyParams,
@@ -57,7 +51,7 @@ from .swarm import (
     restart_firework,
     run,
 )
-from .tdist import GAUSSIAN_DF_CUTOFF, TDistribution
+from .tdist import DF_CAP, TDistribution
 
 __version__ = "0.1.0"
 
@@ -66,12 +60,10 @@ __all__ = [
     "BenchmarkProblem",
     "ComparisonCell",
     "DF_CAP",
-    "DF_GAUSSIAN_LIMIT",
     "DegenerateStateError",
     "ExperimentConfig",
     "FireworkState",
     "FisherBlocks",
-    "GAUSSIAN_DF_CUTOFF",
     "PROBLEM_NAMES",
     "RunResult",
     "StrategyParams",

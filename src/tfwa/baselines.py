@@ -1,8 +1,8 @@
 """Reference optimisers sharing the swarm's budget and restart accounting.
 
 * ``gaussian_limit_run``: the full swarm with degrees of freedom frozen at
-  1e8, so sampling is effectively Gaussian and the natural weights are
-  uniform; isolates the contribution of heavy-tailed sampling.
+  the cap, so sampling is Gaussian and the natural weights are uniform;
+  isolates the contribution of heavy-tailed sampling.
 * ``uniform_fwa_run``: classic fireworks explosions, uniform in a shrinking
   or growing hypercube around each firework, driven by the swarm's
   generation loop and loser-out tournament; isolates the contribution of
@@ -27,8 +27,7 @@ from .swarm import (
     resolve_run_shape,
     run,
 )
-
-DF_GAUSSIAN_LIMIT = 1.0e8
+from .tdist import DF_CAP
 
 # Uniform-firework amplitude: starts at this fraction of the box width, grows
 # by AMPLITUDE_GROWTH on improvement and shrinks by AMPLITUDE_DECAY otherwise,
@@ -39,8 +38,8 @@ AMPLITUDE_DECAY = 0.9
 
 
 def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
-    """Swarm run with df frozen at the Gaussian limit."""
-    return run(problem, replace(config, df_init=DF_GAUSSIAN_LIMIT, adjust_df=False))
+    """Swarm run with df at the Gaussian limit, where it stays."""
+    return run(problem, replace(config, df_init=DF_CAP))
 
 
 @dataclass

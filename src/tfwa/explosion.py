@@ -26,11 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .natgrad import natgrad_weight
-from .tdist import t_draws
-
-# Degrees of freedom are never grown past this cap; far beyond the Gaussian
-# sampling cutoff already.
-DF_CAP = float(2**30)
+from .tdist import DF_CAP, t_draws
 
 
 class DegenerateStateError(RuntimeError):
@@ -61,8 +57,8 @@ class FireworkState:
     generation (may be negative), and ``improvement`` the last accepted
     improvement used by the loser-out tournament.  ``gen_count`` counts
     generations since the last (re)start.  ``eigvals`` and ``eigvecs`` are
-    the eigenpair of ``shape``, computed at construction and rewritten by
-    :func:`explode` together with ``shape``.
+    the eigenpair of ``shape``; construction computes it unless both are
+    given, and :func:`explode` rewrites it together with ``shape``.
     """
 
     mean: np.ndarray
@@ -78,28 +74,26 @@ class FireworkState:
     improvement: float = 0.0
     gen_improvement: float = 0.0
     gen_count: int = 0
-    eigvals: np.ndarray = field(init=False, repr=False)
-    eigvecs: np.ndarray = field(init=False, repr=False)
+    eigvals: np.ndarray | None = field(default=None, repr=False)
+    eigvecs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.eigvals, self.eigvecs = np.linalg.eigh(self.shape)
+        if self.eigvals is None or self.eigvecs is None:
+            self.eigvals, self.eigvecs = np.linalg.eigh(self.shape)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyParams:
-    """Static and per-generation strategy constants for one firework.
+    """Strategy constants, fixed by the population size and dimension.
 
-    The static rows are fixed by the population size and dimension at
-    construction (see :func:`derive_params`); ``mu`` counts the positive
-    rank weights, which lead ``raw_weights``.  The dynamic rows ``c_cn``,
-    ``c_sn``, ``h_gate`` and ``c_1a`` are recomputed by :func:`explode` at
-    the start of every generation from the current step size, step-size path
-    and generation counter, so an instance must not be shared between
-    fireworks that explode concurrently.
+    See :func:`derive_params`; ``mu`` counts the positive rank weights,
+    which lead ``raw_weights``.  An instance holds no per-firework state, so
+    one serves every firework of a run; the rates that depend on a
+    firework's state come from :func:`dynamic_rates`.
     """
 
     lam: int
@@ -112,24 +106,25 @@ class StrategyParams:
     c_1: float
     c_mu: float
     c_n: float
-    c_cn: float = 0.0
-    c_sn: float = 0.0
-    h_gate: int = 1
-    c_1a: float = 0.0
-    adapt_df: bool = True
     literal_psigma: bool = False
 
-    def refresh_dynamic(self, scale, path_s, gen_count):
-        """Recompute the per-generation rows for the given firework state."""
-        self.c_cn = math.sqrt(self.c_c * (2.0 - self.c_c) * self.mu_eff) / scale
-        self.c_sn = math.sqrt(self.c_s * (2.0 - self.c_s) * self.mu_eff) / scale
-        norm2 = float(np.dot(path_s, path_s))
-        horizon = 1.0 - (1.0 - self.c_s) ** (2 * gen_count + 1)
-        bound = 2.0 + 4.0 / (self.dim + 1.0)
-        self.h_gate = int(norm2 / (self.dim * horizon) <= bound)
-        self.c_1a = self.c_1 * (
-            1.0 - (1.0 - self.h_gate**2) * self.c_c * (2.0 - self.c_c)
-        )
+
+def dynamic_rates(params: StrategyParams, scale, path_s, gen_count):
+    """Per-generation rates ``(c_cn, c_sn, h_gate, c_1a)`` of one firework.
+
+    ``c_cn`` and ``c_sn`` are the path learning rates divided by the step
+    size ``scale``.  ``h_gate`` is 1 unless the step-size path ``path_s`` is
+    too long for ``gen_count`` generations; at 0 the shape path stops
+    accumulating and ``c_1a``, the rank-one rate, makes up its lost variance.
+    """
+    c_cn = math.sqrt(params.c_c * (2.0 - params.c_c) * params.mu_eff) / scale
+    c_sn = math.sqrt(params.c_s * (2.0 - params.c_s) * params.mu_eff) / scale
+    norm2 = float(np.dot(path_s, path_s))
+    horizon = 1.0 - (1.0 - params.c_s) ** (2 * gen_count + 1)
+    bound = 2.0 + 4.0 / (params.dim + 1.0)
+    h_gate = int(norm2 / (params.dim * horizon) <= bound)
+    c_1a = params.c_1 * (1.0 - (1.0 - h_gate**2) * params.c_c * (2.0 - params.c_c))
+    return c_cn, c_sn, h_gate, c_1a
 
 
 def rank_weights(lam: int) -> np.ndarray:
@@ -160,12 +155,7 @@ def fuse_weights(rank_w, natural_w) -> np.ndarray:
     return fused / total
 
 
-def derive_params(
-    lam: int,
-    dim: int,
-    adapt_df: bool = True,
-    literal_psigma: bool = False,
-) -> StrategyParams:
+def derive_params(lam: int, dim: int, literal_psigma: bool = False) -> StrategyParams:
     """Build the static strategy constants for population size ``lam``.
 
     The learning rates follow the standard cumulative-adaptation recipe:
@@ -195,7 +185,6 @@ def derive_params(
         c_1=c_1,
         c_mu=c_mu,
         c_n=c_s,
-        adapt_df=adapt_df,
         literal_psigma=literal_psigma,
     )
 
@@ -206,8 +195,8 @@ def adjust_degree_of_freedom(df, fit, f_best, factor):
     On improvement (``fit < f_best``) the new value is
     ``min(max(df * factor, df + 1), DF_CAP)``: the factor drives geometric
     growth, the ``df + 1`` floor keeps progress when the factor is close to
-    1, and the cap keeps the value finite.  Without improvement df is
-    unchanged.
+    1, and the cap, the Gaussian limit, keeps the value finite; a df at the
+    cap stays there.  Without improvement df is unchanged.
     """
     if fit < f_best:
         return min(max(df * factor, df + 1.0), DF_CAP)
@@ -278,7 +267,7 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     lam, d, mu = params.lam, params.dim, params.mu
     if not (np.isfinite(state.scale) and state.scale > 0):
         raise DegenerateStateError(f"step size collapsed to {state.scale}")
-    params.refresh_dynamic(state.scale, state.path_s, state.gen_count)
+    c_cn, c_sn, h_gate, c_1a = dynamic_rates(params, state.scale, state.path_s, state.gen_count)
     root = np.sqrt(state.eigvals)
 
     draws, s = t_draws(state.eigvecs * root, state.df, lam, rng)
@@ -296,18 +285,18 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     delta_m = mean_new - state.mean
 
     dev = (top - state.mean) / state.scale
-    base = 1.0 - params.c_1a - params.c_mu * float(fused.sum())
+    base = 1.0 - c_1a - params.c_mu * float(fused.sum())
     shape_new = (
         base * state.shape
         + params.c_1 * np.outer(state.path_c, state.path_c)
         + params.c_mu * (dev.T * fused) @ dev
     )
 
-    path_c_new = (1.0 - params.c_c) * state.path_c + params.c_cn * params.h_gate * delta_m
+    path_c_new = (1.0 - params.c_c) * state.path_c + c_cn * h_gate * delta_m
     # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
     coef = state.eigvecs.T @ delta_m
     back = state.eigvecs @ (coef / (state.eigvals if params.literal_psigma else root))
-    path_s_new = (1.0 - params.c_s) * state.path_s + params.c_sn * back
+    path_s_new = (1.0 - params.c_s) * state.path_s + c_sn * back
 
     scale_new = state.scale * math.exp(
         min(1.0, 0.5 * params.c_n * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
@@ -328,10 +317,7 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     state.path_c = path_c_new
     state.path_s = path_s_new
     state.scale = scale_new
-    if params.adapt_df:
-        state.df = adjust_degree_of_freedom(
-            state.df, gen_best, state.last_gen_best, state.df_factor
-        )
+    state.df = adjust_degree_of_freedom(state.df, gen_best, state.last_gen_best, state.df_factor)
     state.gen_improvement = state.last_gen_best - gen_best
     state.last_gen_best = gen_best
     if gen_best < state.best_fitness:

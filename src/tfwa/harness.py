@@ -32,7 +32,16 @@ from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
 from .benchfns import PROBLEM_NAMES, make_problem
 from .swarm import SwarmConfig, run
 
-ALGORITHMS = ("tfwa", "gaussian-limit", "uniform-fwa", "random-search")
+# Algorithm name -> name of its runner in this module.  ``_run_one`` looks the
+# runner up at call time, so a rebinding of the module attribute (a profiling
+# wrapper, say) sees every run.
+_RUNNERS = {
+    "tfwa": "run",
+    "gaussian-limit": "gaussian_limit_run",
+    "uniform-fwa": "uniform_fwa_run",
+    "random-search": "random_search_run",
+}
+ALGORITHMS = tuple(_RUNNERS)
 
 RESULT_FIELDS = (
     "problem",
@@ -209,16 +218,9 @@ class ExperimentConfig:
 
 def _run_one(job):
     problem_args, algo, swarm_cfg = job
-    problem = make_problem(*problem_args)
-    if algo == "tfwa":
-        return run(problem, swarm_cfg)
-    if algo == "gaussian-limit":
-        return gaussian_limit_run(problem, swarm_cfg)
-    if algo == "uniform-fwa":
-        return uniform_fwa_run(problem, swarm_cfg)
-    if algo == "random-search":
-        return random_search_run(problem, swarm_cfg)
-    raise ValueError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
+    if algo not in _RUNNERS:
+        raise ValueError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
+    return globals()[_RUNNERS[algo]](make_problem(*problem_args), swarm_cfg)
 
 
 def validate_experiment(config: ExperimentConfig):

@@ -27,9 +27,11 @@ import numpy as np
 from .explosion import (
     DegenerateStateError,
     FireworkState,
+    StrategyParams,
     derive_params,
     explode,
 )
+from .tdist import DF_CAP
 
 
 @dataclass
@@ -40,7 +42,8 @@ class SwarmConfig:
     n_fireworks`` and ``10000 * dim`` when left as ``None``.  ``df_factors``
     must provide one growth factor per firework.  ``eps`` is the minimum
     fitness decrease that counts as progress for the tournament.
-    ``adjust_df=False`` freezes the degrees of freedom at ``df_init``.
+    ``df_init`` lies in ``[2, DF_CAP]``; at ``DF_CAP``, the Gaussian limit,
+    the degrees of freedom stay frozen.
     """
 
     n_fireworks: int = 2
@@ -50,7 +53,6 @@ class SwarmConfig:
     budget: int | None = None
     eps: float = 1e-6
     seed: int = 0
-    adjust_df: bool = True
     literal_psigma: bool = False
 
 
@@ -88,10 +90,10 @@ class RunResult:
 
 @dataclass
 class SwarmState:
-    """Fresh fireworks, their strategy constants and the resolved budget."""
+    """Fresh fireworks, their shared strategy constants and the resolved budget."""
 
     fireworks: list
-    params: list
+    params: StrategyParams
     evals_used: int
     budget: int
 
@@ -112,8 +114,8 @@ def resolve_run_shape(problem, config: SwarmConfig):
         )
     if any(f <= 1.0 for f in config.df_factors):
         raise ValueError("df growth factors must exceed 1")
-    if config.df_init < 2.0:
-        raise ValueError(f"df_init must be at least 2, got {config.df_init}")
+    if not 2.0 <= config.df_init <= DF_CAP:
+        raise ValueError(f"df_init must lie in [2, {DF_CAP:.0f}], got {config.df_init}")
     if config.eps <= 0:
         raise ValueError("eps must be positive")
     lam = config.sparks_per_firework
@@ -153,6 +155,9 @@ def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkS
         problem,
         rng,
         shape=np.eye(d),
+        # the eigenpair of the identity, exactly as eigh returns it
+        eigvals=np.ones(d),
+        eigvecs=np.eye(d),
         df=config.df_init,
         df_factor=float(df_factor),
         path_c=np.zeros(d),
@@ -170,15 +175,7 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     """
     n, lam, budget = resolve_run_shape(problem, config)
     fireworks = [_fresh_t_firework(problem, config, f, rng) for f in config.df_factors]
-    params = [
-        derive_params(
-            lam,
-            problem.dim,
-            adapt_df=config.adjust_df,
-            literal_psigma=config.literal_psigma,
-        )
-        for _ in range(n)
-    ]
+    params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
     return SwarmState(fireworks=fireworks, params=params, evals_used=n, budget=budget)
 
 
@@ -231,13 +228,13 @@ def run(problem, config: SwarmConfig) -> RunResult:
     swarm = init_swarm(problem, config, rng)
 
     def burst(i, fw):
-        xs, fits = explode(fw, swarm.params[i], problem, rng)
+        xs, fits = explode(fw, swarm.params, problem, rng)
         return xs[0], fits[0]
 
     return _drive(
         problem,
         config.eps,
-        swarm.params[0].lam,
+        swarm.params.lam,
         swarm.budget,
         swarm.fireworks,
         fresh=lambda fw: restart_firework(fw, problem, config, rng),

@@ -14,9 +14,9 @@ where ``A`` is any factor with ``A A' = scale``: :class:`TDistribution`
 uses the lower Cholesky factor, the explosion operator the eigen-basis
 factor ``B D`` it already holds.  The squared Mahalanobis distance of such a
 draw is ``|z|^2 * df / u`` whatever the factor, so :func:`t_draws` returns it
-without a solve.  For extremely large ``df`` the mixing factor is
-numerically 1 and the sampler falls back to the plain Gaussian branch (see
-``GAUSSIAN_DF_CUTOFF``).
+without a solve.  ``DF_CAP`` is the Gaussian limit: the optimiser never
+grows df past it, and at it the sampler draws no mixing variables and takes
+the plain Gaussian branch.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-# Above this df the chi-squared mixing factor sqrt(df / u) differs from 1 by
-# less than ~1e-3 with overwhelming probability, far below sampling noise at
-# any feasible sample size, so the Gaussian branch is statistically
-# indistinguishable from the compound one.
-GAUSSIAN_DF_CUTOFF = 1.0e7
+# The Gaussian limit of the degrees of freedom.  Here the chi-squared mixing
+# factor sqrt(df / u) has a standard deviation of about 2e-5 around 1, far
+# below sampling noise at any feasible sample size, so the Gaussian branch is
+# statistically indistinguishable from the compound one.
+DF_CAP = float(2**30)
 
 _SYMMETRY_TOL = 1e-10
 
@@ -42,12 +42,12 @@ def t_draws(factor, df, n, rng):
     distances under that scale, ``|z|^2 * df / u``.  ``rng`` is a
     ``numpy.random.Generator``; the normal block is drawn before the
     chi-squared mixing variables, which are skipped at or above
-    ``GAUSSIAN_DF_CUTOFF``.
+    ``DF_CAP``.
     """
     z = rng.standard_normal((n, factor.shape[1]))
     y = z @ factor.T
     s = np.einsum("ij,ij->i", z, z)
-    if df < GAUSSIAN_DF_CUTOFF:
+    if df < DF_CAP:
         mix = df / rng.chisquare(df, size=n)
         y *= np.sqrt(mix)[:, None]
         s *= mix

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 
 from tfwa.baselines import (
-    DF_GAUSSIAN_LIMIT,
     gaussian_limit_run,
     random_search_run,
     uniform_fwa_run,
@@ -13,6 +12,7 @@ from tfwa.baselines import (
 )
 from tfwa.benchfns import make_problem
 from tfwa.swarm import SwarmConfig
+from tfwa.tdist import DF_CAP
 
 
 class _FlatProblem:
@@ -49,7 +49,7 @@ def test_gaussian_limit_df_frozen_in_trace():
     problem = make_problem("sphere", 3, seed=0)
     result = gaussian_limit_run(problem, SwarmConfig(seed=0, budget=2_000))
     assert len(result.trace) > 0
-    assert all(r.df == DF_GAUSSIAN_LIMIT for r in result.trace)
+    assert all(r.df == DF_CAP for r in result.trace)
 
 
 def test_gaussian_limit_converges_on_sphere():

@@ -1,6 +1,7 @@
 """Explosion generation, strategy constants, and state maintenance tests."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tfwa.explosion import (
     FireworkState,
     adjust_degree_of_freedom,
     derive_params,
+    dynamic_rates,
     effective_mass,
     explode,
     fuse_weights,
@@ -111,22 +113,26 @@ def test_derive_params_ranges(lam, dim):
     assert p.mu_eff >= 1
 
 
-def test_refresh_dynamic_gate_open_at_start():
+def test_strategy_params_frozen():
     p = derive_params(10, 5)
-    p.refresh_dynamic(scale=2.0, path_s=np.zeros(5), gen_count=0)
-    assert p.h_gate == 1
-    assert p.c_1a == pytest.approx(p.c_1, abs=1e-15)
-    assert p.c_cn == pytest.approx(
-        math.sqrt(p.c_c * (2 - p.c_c) * p.mu_eff) / 2.0, abs=1e-15
-    )
+    with pytest.raises(FrozenInstanceError):
+        p.c_c = 0.5
 
 
-def test_refresh_dynamic_gate_closes_on_long_path():
+def test_dynamic_rates_gate_open_at_start():
+    p = derive_params(10, 5)
+    c_cn, _, h_gate, c_1a = dynamic_rates(p, scale=2.0, path_s=np.zeros(5), gen_count=0)
+    assert h_gate == 1
+    assert c_1a == pytest.approx(p.c_1, abs=1e-15)
+    assert c_cn == pytest.approx(math.sqrt(p.c_c * (2 - p.c_c) * p.mu_eff) / 2.0, abs=1e-15)
+
+
+def test_dynamic_rates_gate_closes_on_long_path():
     p = derive_params(10, 5)
     long_path = np.full(5, 10.0)
-    p.refresh_dynamic(scale=1.0, path_s=long_path, gen_count=3)
-    assert p.h_gate == 0
-    assert p.c_1a < p.c_1
+    _, _, h_gate, c_1a = dynamic_rates(p, scale=1.0, path_s=long_path, gen_count=3)
+    assert h_gate == 0
+    assert c_1a < p.c_1
 
 
 def test_adjust_df_growth_factor_dominates():
@@ -331,14 +337,19 @@ def test_explode_df_grows_on_improvement():
     assert seen[-1] > seen[0]
 
 
-def test_explode_df_frozen_when_adaptation_disabled():
+def test_explode_df_frozen_at_cap():
     problem = make_problem("sphere", 2, seed=0, rotated=False, shifted=False)
-    state = _fresh_state(2, df=1e8, mean=[5.0, 5.0], f0=50.0)
-    params = derive_params(20, 2, adapt_df=False)
+    state = _fresh_state(2, df=DF_CAP, mean=[5.0, 5.0], f0=50.0)
+    params = derive_params(20, 2)
     rng = np.random.default_rng(9)
+    improved = 0
     for _ in range(10):
+        before = state.last_gen_best
         explode(state, params, problem, rng)
-    assert state.df == 1e8
+        improved += state.last_gen_best < before
+        assert state.df == DF_CAP
+    # df growth was asked for, and the cap held it
+    assert improved > 0
 
 
 def test_explode_deterministic():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import tfwa.harness
 from tfwa.harness import (
     RESULT_FIELDS,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from tfwa.harness import (
     validate_experiment,
 )
 from tfwa.swarm import SwarmConfig
+from tfwa.tdist import DF_CAP
 
 SMALL = dict(
     suite=("sphere", "rastrigin"),
@@ -141,7 +143,25 @@ def test_run_experiment_gaussian_limit_and_random_search(tmp_path):
     limit_trace = tmp_path / "out" / "traces" / "sphere_d2_gaussian-limit_rep0.jsonl"
     with open(limit_trace) as fh:
         dfs = {json.loads(line)["df"] for line in fh}
-    assert dfs == {1.0e8}
+    assert dfs == {DF_CAP}
+
+
+def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
+    # a rebinding of the module attribute (a profiler's wrapper) sees every run
+    real = tfwa.harness.uniform_fwa_run
+    seen = []
+
+    def wrapped(problem, config):
+        seen.append(config.seed)
+        return real(problem, config)
+
+    monkeypatch.setattr(tfwa.harness, "uniform_fwa_run", wrapped)
+    config = ExperimentConfig(
+        suite=("sphere",), dims=(2,), algos=("uniform-fwa",), reps=2, budget_multiplier=100
+    )
+    rows, _ = run_experiment(config)
+    assert seen == [0, 1]
+    assert len(rows) == 2
 
 
 def test_cli_run_and_outputs(tmp_path, capsys):
@@ -208,6 +228,26 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         echo = json.load(fh)
     assert echo["reps"] == 2
     assert echo["algos"] == ["random-search"]
+
+
+def test_cli_config_file_rejects_unknown_swarm_key(tmp_path, capsys):
+    # adjust_df was removed: a df_init at the cap is the frozen Gaussian limit
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "suite": ["sphere"],
+                "dims": [2],
+                "reps": 1,
+                "budget_mult": 100,
+                "swarm": {"adjust_df": False},
+            }
+        )
+    )
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "z")])
+    assert code == 2
+    assert "adjust_df" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 def test_cli_config_file_invalid_json(tmp_path, capsys):

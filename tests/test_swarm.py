@@ -7,7 +7,7 @@ import pytest
 
 import tfwa.swarm as swarm_mod
 from tfwa.benchfns import make_problem
-from tfwa.explosion import DegenerateStateError, FireworkState
+from tfwa.explosion import DegenerateStateError, FireworkState, StrategyParams
 from tfwa.swarm import (
     SwarmConfig,
     init_swarm,
@@ -37,10 +37,19 @@ def test_resolve_defaults_dim3():
         SwarmConfig(n_fireworks=2, df_factors=(1.05,)),
         SwarmConfig(df_factors=(1.0, 10.0)),
         SwarmConfig(df_init=1.5),
+        SwarmConfig(df_init=2.0**31),
         SwarmConfig(eps=0.0),
         SwarmConfig(budget=10),
     ],
-    ids=["no-fireworks", "factor-arity", "factor-too-small", "df-low", "eps", "budget"],
+    ids=[
+        "no-fireworks",
+        "factor-arity",
+        "factor-too-small",
+        "df-low",
+        "df-high",
+        "eps",
+        "budget",
+    ],
 )
 def test_resolve_rejects_bad_config(config):
     problem = make_problem("sphere", 4, seed=0)
@@ -62,6 +71,34 @@ def test_init_swarm_state():
         assert fw.last_gen_best == problem.evaluate(fw.mean)
     assert state.fireworks[0].df_factor == 1.05
     assert state.fireworks[1].df_factor == 10.0
+    assert isinstance(state.params, StrategyParams)
+    assert state.params.lam == 30
+
+
+def test_run_factorises_once_per_explosion(monkeypatch):
+    # fresh and restarted fireworks start from the identity's eigenpair
+    # without factorising it, and every firework shares one StrategyParams
+    problem = make_problem("rastrigin", 5, seed=0)
+    calls = {"eigh": 0, "explode": 0}
+    params_seen = set()
+    real_eigh, real_explode = np.linalg.eigh, swarm_mod.explode
+
+    def eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(*args, **kwargs)
+
+    def explode(state, params, objective, rng):
+        calls["explode"] += 1
+        params_seen.add(id(params))
+        return real_explode(state, params, objective, rng)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(swarm_mod, "explode", explode)
+    result = run(problem, SwarmConfig(seed=0, budget=20_000))
+    assert result.restarts > 0
+    assert calls["explode"] > 0
+    assert calls["eigh"] == calls["explode"]
+    assert len(params_seen) == 1
 
 
 def _fw(improvement=0.0, gen_improvement=0.0, best_fitness=10.0):

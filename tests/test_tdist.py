@@ -8,7 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tfwa.tdist import GAUSSIAN_DF_CUTOFF, TDistribution, t_draws
+from tfwa.tdist import DF_CAP, TDistribution, t_draws
 
 
 def test_identity_construction():
@@ -178,7 +178,7 @@ PIN_DRAWS = {
         [2.158470431882182, -0.15051410514655061, 1.415306834484896],
         [0.19804409239158127, -3.1730211735910534, 0.4479953753689673],
     ],
-    1.0e8: [
+    DF_CAP: [
         [2.455023344883565, 0.32292951031340733, 1.6496131236972698],
         [-0.376283669407808, -4.013090582370567, 0.4107518070079218],
     ],
@@ -192,7 +192,7 @@ def test_sample_pinned_values(df):
     assert np.allclose(x, PIN_DRAWS[df], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("df", [3.0, GAUSSIAN_DF_CUTOFF])
+@pytest.mark.parametrize("df", [3.0, 1.0e7, DF_CAP])
 def test_t_draws_distance_matches_mahalanobis(df):
     # the eigen-basis factor B D reproduces the scale, and |z|^2 df/u is the
     # distance the Cholesky solve computes
@@ -239,9 +239,10 @@ def test_tail_ordering_heavy_vs_light():
 
 
 def test_gaussian_shortcut_agrees_with_compound():
-    # distributions just below and above the sampling cutoff must agree
-    below = TDistribution([0.0], [[1.0]], GAUSSIAN_DF_CUTOFF * 0.99)
-    above = TDistribution([0.0], [[1.0]], GAUSSIAN_DF_CUTOFF * 100.0)
+    # the compound draw just below the Gaussian limit and the plain Gaussian
+    # draw at it must agree
+    below = TDistribution([0.0], [[1.0]], DF_CAP * 0.99)
+    above = TDistribution([0.0], [[1.0]], DF_CAP)
     xa = below.sample(20_000, np.random.default_rng(5)).ravel()
     xb = above.sample(20_000, np.random.default_rng(6)).ravel()
     assert st.ks_2samp(xa, xb).pvalue > 0.01
