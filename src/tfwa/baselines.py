@@ -8,6 +8,9 @@
   generation loop and loser-out tournament; isolates the contribution of
   the adapted t sampler.
 * ``random_search_run``: uniform sampling over the whole box.
+
+Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the
+objective, and uses ``evaluate_batch`` when it has one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .explosion import _evaluate_all
 from .swarm import (
     RunResult,
     SwarmConfig,
@@ -35,6 +39,10 @@ from .tdist import DF_CAP
 AMPLITUDE_INIT = 0.5
 AMPLITUDE_GROWTH = 1.2
 AMPLITUDE_DECAY = 0.9
+
+# Random search draws and evaluates whole generations at a time, at most this
+# many coordinates per block and at least one generation.
+BLOCK_COORDS = 2**16
 
 
 def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
@@ -59,7 +67,8 @@ class _UniformFirework:
 def uniform_sparks(mean, amplitude, lam, lb, ub, rng):
     """Sample ``lam`` sparks uniformly in [mean - A, mean + A] clipped to bounds."""
     span = rng.uniform(-amplitude, amplitude, size=(lam, mean.shape[0]))
-    return np.clip(mean + span, lb, ub)
+    # np.clip's definition, without its wrapper's per-call cost
+    return np.minimum(np.maximum(mean + span, lb), ub)
 
 
 def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
@@ -80,7 +89,7 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
 
     def burst(_i, fw):
         sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, rng)
-        k, gen_best = _best_of(problem.evaluate_batch(sparks))
+        k, gen_best = _best_of(_evaluate_all(problem, sparks))
         fw.gen_improvement = fw.last_gen_best - gen_best
         # The firework only ever moves to an improving spark, so its current
         # fitness is also its all-time best.
@@ -97,43 +106,54 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
 
 
 def random_search_run(problem, config: SwarmConfig) -> RunResult:
-    """Uniform random search over the full box, batched like one generation.
+    """Uniform random search over the full box, one batch per generation.
 
     It spends no evaluation on starting points and has no tournament, so it
-    keeps its own loop rather than the swarm's generation driver.
+    keeps its own loop rather than the swarm's generation driver.  Whole
+    generations are drawn and evaluated in blocks of up to ``BLOCK_COORDS``
+    coordinates.  Uniform draws fill the stream in order and an objective
+    evaluates each point on its own, so the result equals drawing and
+    evaluating one generation per call.
     """
     rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)
     batch = n * lam
+    d = problem.dim
     f_star = float(getattr(problem, "f_star", 0.0))
+    box = float(problem.ub - problem.lb)
+    block = max(1, BLOCK_COORDS // (batch * d))
+    total = budget // batch
     best_f = math.inf
     best_x = None
-    evals = 0
     trace = []
     g = 0
-    while evals + batch <= budget:
-        g += 1
-        xs = rng.uniform(problem.lb, problem.ub, size=(batch, problem.dim))
-        fits = problem.evaluate_batch(xs)
-        evals += batch
-        k, f = _best_of(fits)
-        if f < best_f:
-            best_f, best_x = f, xs[k].copy()
-        trace.append(
-            TraceRecord(
-                gen=g,
-                fw=0,
-                gap=f - f_star,
-                df=0.0,
-                scale=float(problem.ub - problem.lb),
-                restart=False,
-                best_gap=best_f - f_star,
+    while g < total:
+        k = min(block, total - g)
+        xs = rng.uniform(problem.lb, problem.ub, size=(k * batch, d))
+        fits = _evaluate_all(problem, xs).reshape(k, batch)
+        # a NaN counts as +inf and ties go to the first index, as in _best_of
+        fits = np.where(np.isnan(fits), np.inf, fits)
+        picks = fits.argmin(axis=1)
+        gen_bests = fits[np.arange(k), picks]
+        for j, (i, f) in enumerate(zip(picks.tolist(), gen_bests.tolist())):
+            g += 1
+            if f < best_f:
+                best_f, best_x = f, xs[j * batch + i].copy()
+            trace.append(
+                TraceRecord(
+                    gen=g,
+                    fw=0,
+                    gap=f - f_star,
+                    df=0.0,
+                    scale=box,
+                    restart=False,
+                    best_gap=best_f - f_star,
+                )
             )
-        )
     return RunResult(
         best_position=best_x,
         best_fitness=best_f,
-        evals_used=evals,
+        evals_used=g * batch,
         generations=g,
         trace=trace,
     )

@@ -9,6 +9,7 @@ to the shift.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -28,14 +29,20 @@ def _register(name):
 
 @_register("sphere")
 def _sphere(z):
-    return np.sum(z * z, axis=1)
+    return (z * z).sum(axis=1)
+
+
+@functools.cache
+def _elliptic_coef(d):
+    coef = 10.0 ** (6.0 * np.arange(d) / (d - 1))
+    # shared by every caller, so nobody may write to it
+    coef.flags.writeable = False
+    return coef
 
 
 @_register("elliptic")
 def _elliptic(z):
-    d = z.shape[1]
-    coef = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return np.sum(coef * z * z, axis=1)
+    return (_elliptic_coef(z.shape[1]) * z * z).sum(axis=1)
 
 
 @_register("rosenbrock")
@@ -43,27 +50,27 @@ def _rosenbrock(z):
     # optimum relocated to z = 0 by working on z + 1
     zr = z + 1.0
     a, b = zr[:, :-1], zr[:, 1:]
-    return np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2, axis=1)
+    return (100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2).sum(axis=1)
 
 
 @_register("ackley")
 def _ackley(z):
     d = z.shape[1]
-    quad = np.sqrt(np.sum(z * z, axis=1) / d)
-    cosm = np.sum(np.cos(2.0 * math.pi * z), axis=1) / d
+    quad = np.sqrt((z * z).sum(axis=1) / d)
+    cosm = np.cos(2.0 * math.pi * z).sum(axis=1) / d
     return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
 
 
 @_register("rastrigin")
 def _rastrigin(z):
-    return np.sum(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0, axis=1)
+    return (z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0).sum(axis=1)
 
 
 @_register("griewank")
 def _griewank(z):
     d = z.shape[1]
-    quad = np.sum(z * z, axis=1) / 4000.0
-    prod = np.prod(np.cos(z / np.sqrt(np.arange(1, d + 1))), axis=1)
+    quad = (z * z).sum(axis=1) / 4000.0
+    prod = np.cos(z / np.sqrt(np.arange(1, d + 1))).prod(axis=1)
     return quad - prod + 1.0
 
 
@@ -78,9 +85,9 @@ def _lunacek_bi_rastrigin(z):
     mu0 = 2.5
     s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
     mu1 = -math.sqrt((mu0 * mu0 - 1.0) / s)
-    funnel_a = np.sum(z * z, axis=1)
-    funnel_b = d + s * np.sum((z + (mu0 - mu1)) ** 2, axis=1)
-    ripple = 10.0 * (d - np.sum(np.cos(2.0 * math.pi * z), axis=1))
+    funnel_a = (z * z).sum(axis=1)
+    funnel_b = d + s * ((z + (mu0 - mu1)) ** 2).sum(axis=1)
+    ripple = 10.0 * (d - np.cos(2.0 * math.pi * z).sum(axis=1))
     return np.minimum(funnel_a, funnel_b) + ripple
 
 
@@ -104,7 +111,7 @@ class BenchmarkProblem:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) batch, got {xs.shape}")
-        if not np.all(np.isfinite(xs)):
+        if not np.isfinite(xs).all():
             raise ValueError("evaluation points must be finite")
         z = (xs - self.shift) @ self.rotation.T
         return _KERNELS[self.name](z)

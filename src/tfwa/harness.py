@@ -8,7 +8,8 @@ seeded runs and writes four artifacts into the output directory:
 * ``summary.csv`` with per-(problem, dim, algo) mean/std/median gaps
 * ``config.json`` echoing the resolved configuration
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
-  generation per firework: ``gen,fw,gap,df,scale,restart``
+  generation per firework: ``gen,fw,gap,df,scale,restart``, serialised by
+  :func:`_trace_jsonl` in the process that ran it
 
 ``compare`` applies the rank-sum test per function between two results
 files; ``rank`` averages per-function ranks of mean gaps across any number
@@ -216,11 +217,54 @@ class ExperimentConfig:
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
 
+# How json.dumps spells the non-finite floats; float.__repr__ gives the keys.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x):
+    """``x`` as ``json.dumps`` writes it: ints as ints, floats by ``repr``."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    text = float.__repr__(float(x))
+    return _NON_FINITE.get(text, text)
+
+
+def _trace_jsonl(trace) -> str:
+    """A run's trace as JSONL text, one ``json.dumps`` object per record.
+
+    Each line is byte for byte ``json.dumps({"gen": ..., "fw": ..., "gap":
+    ..., "df": ..., "scale": ..., "restart": ...}) + "\\n"``: floats as
+    ``float.__repr__`` gives them, ``NaN``, ``Infinity`` and ``-Infinity``
+    for the non-finite ones, and ``true``/``false`` for ``restart``.
+    """
+    return "".join(
+        f'{{"gen": {rec.gen}, "fw": {rec.fw}, "gap": {_json_number(rec.gap)}, '
+        f'"df": {_json_number(rec.df)}, "scale": {_json_number(rec.scale)}, '
+        f'"restart": {"true" if rec.restart else "false"}}}\n'
+        for rec in trace
+    )
+
+
 def _run_one(job):
-    problem_args, algo, swarm_cfg = job
+    """Run one grid cell; returns ``(best_gap, evals, generations, restarts,
+    trace_text)``.
+
+    ``trace_text`` is the run's trace as JSONL, or ``None`` when the job
+    writes no trace.  Serialising here, in the process that ran the job,
+    means a worker sends back one string instead of every trace record.
+    """
+    problem_args, algo, swarm_cfg, traced = job
     if algo not in _RUNNERS:
         raise ValueError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
-    return globals()[_RUNNERS[algo]](make_problem(*problem_args), swarm_cfg)
+    problem = make_problem(*problem_args)
+    result = globals()[_RUNNERS[algo]](problem, swarm_cfg)
+    return (
+        result.best_fitness - problem.f_star,
+        result.evals_used,
+        result.generations,
+        result.restarts,
+        _trace_jsonl(result.trace) if traced else None,
+    )
 
 
 def validate_experiment(config: ExperimentConfig):
@@ -252,10 +296,16 @@ def run_experiment(config: ExperimentConfig):
     Result rows are dicts following ``RESULT_FIELDS``, ordered by
     (problem, dim, algo, rep) with suite/dims/algos kept in the configured
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
-    ``summary.csv``, ``config.json`` and per-run trace JSONL files.
-    Reruns with the same configuration produce byte-identical files.
+    ``summary.csv``, ``config.json`` and per-run trace JSONL files.  Each
+    run's trace is serialised in the process that ran it, a worker when
+    ``config.workers > 1``; a trace line spells floats as ``float.__repr__``
+    does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
+    booleans as ``true``/``false``, exactly as ``json.dumps`` would.  Reruns
+    with the same configuration produce byte-identical files, whatever the
+    worker count.
     """
     validate_experiment(config)
+    traced = config.out_dir is not None
     jobs = []
     for name in config.suite:
         for dim in config.dims:
@@ -266,7 +316,7 @@ def run_experiment(config: ExperimentConfig):
                         seed=config.base_seed + rep,
                         budget=config.budget_multiplier * dim,
                     )
-                    jobs.append(((name, dim, config.base_seed), algo, cfg))
+                    jobs.append(((name, dim, config.base_seed), algo, cfg, traced))
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -276,9 +326,8 @@ def run_experiment(config: ExperimentConfig):
 
     rows = []
     traces = []
-    for job, result in zip(jobs, outcomes):
-        (name, dim, _), algo, cfg = job
-        f_star = make_problem(name, dim, config.base_seed).f_star
+    for job, (best_gap, evals, generations, restarts, trace) in zip(jobs, outcomes):
+        (name, dim, _), algo, cfg, _ = job
         rows.append(
             {
                 "problem": name,
@@ -286,13 +335,13 @@ def run_experiment(config: ExperimentConfig):
                 "algo": algo,
                 "rep": cfg.seed - config.base_seed,
                 "seed": cfg.seed,
-                "best_gap": result.best_fitness - f_star,
-                "evals": result.evals_used,
-                "generations": result.generations,
-                "restarts": result.restarts,
+                "best_gap": best_gap,
+                "evals": evals,
+                "generations": generations,
+                "restarts": restarts,
             }
         )
-        traces.append(result.trace)
+        traces.append(trace)
 
     summary = _summarise(rows)
     if config.out_dir is not None:
@@ -347,20 +396,7 @@ def _write_outputs(config, rows, summary, traces):
             f"{row['problem']}_d{row['dim']}_{row['algo']}_rep{row['rep']}.jsonl"
         )
         with open(path, "w") as fh:
-            for rec in trace:
-                fh.write(
-                    json.dumps(
-                        {
-                            "gen": rec.gen,
-                            "fw": rec.fw,
-                            "gap": rec.gap,
-                            "df": rec.df,
-                            "scale": rec.scale,
-                            "restart": rec.restart,
-                        }
-                    )
-                )
-                fh.write("\n")
+            fh.write(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,10 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
 def _best_of(fits):
     """Index and value of the smallest fitness, a NaN counting as ``+inf``.
 
-    ``np.argmin`` picks the first NaN when there is one, so the fallback
+    ``argmin`` picks the first NaN when there is one, so the fallback
     only runs after it did; a finite batch pays one scalar check.
     """
-    k = int(np.argmin(fits))
+    k = int(fits.argmin())
     f = float(fits[k])
     if f != f:
         clean = np.where(np.isnan(fits), np.inf, fits)

@@ -1,17 +1,20 @@
 """Baseline optimiser tests: Gaussian-limit swarm, uniform fireworks, random search."""
 
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 
 from tfwa.baselines import (
+    BLOCK_COORDS,
     gaussian_limit_run,
     random_search_run,
     uniform_fwa_run,
     uniform_sparks,
 )
 from tfwa.benchfns import make_problem
-from tfwa.swarm import SwarmConfig
+from tfwa.swarm import RunResult, SwarmConfig, TraceRecord, _best_of, resolve_run_shape
 from tfwa.tdist import DF_CAP
 
 
@@ -144,3 +147,80 @@ def test_random_search_budget_and_determinism():
     assert np.isfinite(a.best_fitness)
     gaps = [r.best_gap for r in a.trace]
     assert all(y <= x for x, y in zip(gaps, gaps[1:]))
+
+
+def _random_search_per_generation(problem, config):
+    """Reference: random search drawing and evaluating one generation per call."""
+    rng = np.random.default_rng(config.seed)
+    n, lam, budget = resolve_run_shape(problem, config)
+    batch = n * lam
+    best_f, best_x, evals, g, trace = math.inf, None, 0, 0, []
+    while evals + batch <= budget:
+        g += 1
+        xs = rng.uniform(problem.lb, problem.ub, size=(batch, problem.dim))
+        fits = problem.evaluate_batch(xs)
+        evals += batch
+        k, f = _best_of(fits)
+        if f < best_f:
+            best_f, best_x = f, xs[k].copy()
+        trace.append(
+            TraceRecord(
+                gen=g,
+                fw=0,
+                gap=f - problem.f_star,
+                df=0.0,
+                scale=float(problem.ub - problem.lb),
+                restart=False,
+                best_gap=best_f - problem.f_star,
+            )
+        )
+    return RunResult(best_x, best_f, evals, g, trace)
+
+
+class _HalfNanSphere:
+    """Sphere that is NaN on the half of the box where ``x[0] > 0``; counts calls."""
+
+    def __init__(self, dim):
+        self.problem = make_problem("sphere", dim, seed=0)
+        self.dim, self.lb, self.ub = dim, self.problem.lb, self.problem.ub
+        self.f_star = self.problem.f_star
+        self.calls = 0
+
+    def evaluate_batch(self, xs):
+        self.calls += 1
+        fits = self.problem.evaluate_batch(xs)
+        fits[xs[:, 0] > 0.0] = np.nan
+        return fits
+
+    def evaluate(self, x):
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+
+@pytest.mark.parametrize(
+    "dim, budget",
+    [
+        (3, 1_007),  # not a multiple of the 30-point batch
+        (2, 20_000),  # one block of 1000 generations
+        (10, 20_050),  # 200 generations in blocks of 65, 65, 65 and 5
+        (40, 9_000),  # 22 generations in blocks of 4
+        (200, 5_000),  # a generation above BLOCK_COORDS: one per block
+    ],
+)
+def test_random_search_blocks_match_per_generation(dim, budget):
+    config = SwarmConfig(seed=3, budget=budget)
+    reference = _random_search_per_generation(_HalfNanSphere(dim), config)
+    problem = _HalfNanSphere(dim)
+    result = random_search_run(problem, config)
+
+    assert np.array_equal(result.best_position, reference.best_position)
+    assert result.best_fitness == reference.best_fitness
+    assert (result.evals_used, result.generations) == (
+        reference.evals_used,
+        reference.generations,
+    )
+    assert [dataclasses.astuple(r) for r in result.trace] == [
+        dataclasses.astuple(r) for r in reference.trace
+    ]
+    batch = result.evals_used // result.generations
+    per_block = max(1, BLOCK_COORDS // (batch * dim))
+    assert problem.calls == math.ceil(result.generations / per_block)

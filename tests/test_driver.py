@@ -149,3 +149,26 @@ def test_nan_fitness_counts_as_worst(runner, nan_above):
         assert result.best_fitness == min(problem.finite)
     else:
         assert result.best_fitness == math.inf
+
+
+class _ScalarOnly:
+    """An objective with ``lb``, ``ub``, ``dim`` and ``evaluate``, nothing else."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.dim, self.lb, self.ub = problem.dim, problem.lb, problem.ub
+
+    def evaluate(self, x):
+        return self._problem.evaluate(x)
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+def test_runner_needs_only_evaluate(runner):
+    objective = _ScalarOnly(make_problem("rastrigin", 3, seed=0))
+    config = SwarmConfig(seed=2, budget=600)
+    result = runner(objective, config)
+
+    slack = 0 if runner is random_search_run else config.n_fireworks
+    assert 0 < result.evals_used <= config.budget + slack
+    assert result.generations > 0
+    assert result.best_fitness == objective.evaluate(result.best_position)

@@ -2,19 +2,24 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import tfwa.harness
 from tfwa.harness import (
+    ALGORITHMS,
     RESULT_FIELDS,
     ExperimentConfig,
+    _trace_jsonl,
     main,
     run_experiment,
     validate_experiment,
 )
-from tfwa.swarm import SwarmConfig
+from tfwa.swarm import SwarmConfig, TraceRecord
 from tfwa.tdist import DF_CAP
 
 SMALL = dict(
@@ -122,11 +127,77 @@ def test_run_experiment_deterministic_files(tmp_path):
 
 
 def test_run_experiment_workers_match_serial(tmp_path):
+    # every algorithm, and every file but config.json (which echoes the
+    # worker count), byte for byte
+    grid = dict(SMALL, algos=ALGORITHMS)
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    run_experiment(ExperimentConfig(out_dir=str(serial), **SMALL))
-    run_experiment(ExperimentConfig(out_dir=str(parallel), workers=2, **SMALL))
-    assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+    run_experiment(ExperimentConfig(out_dir=str(serial), **grid))
+    run_experiment(ExperimentConfig(out_dir=str(parallel), workers=2, **grid))
+    for name in ("results.csv", "summary.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    names = sorted(p.name for p in (serial / "traces").iterdir())
+    assert names == sorted(p.name for p in (parallel / "traces").iterdir())
+    assert len(names) == 2 * 4 * 2
+    for name in names:
+        assert (serial / "traces" / name).read_bytes() == (
+            parallel / "traces" / name
+        ).read_bytes(), name
+
+
+_SPECIAL_FLOATS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    0.0,
+    5e-324,
+    2.2250738585072009e-308,
+    1e16,
+    0.1,
+]
+_TRACE_NUMBERS = hst.one_of(
+    hst.floats(),
+    hst.sampled_from(_SPECIAL_FLOATS),
+    hst.sampled_from(_SPECIAL_FLOATS).map(np.float64),
+    hst.floats().map(np.float64),
+    # a df_init given as a JSON integer stays an int until df first grows
+    hst.integers(min_value=2, max_value=2**30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=hst.lists(
+        hst.builds(
+            TraceRecord,
+            gen=hst.integers(min_value=0, max_value=10**9),
+            fw=hst.integers(min_value=0, max_value=64),
+            gap=_TRACE_NUMBERS,
+            df=_TRACE_NUMBERS,
+            scale=_TRACE_NUMBERS,
+            restart=hst.booleans(),
+            best_gap=_TRACE_NUMBERS,
+        ),
+        max_size=4,
+    )
+)
+def test_trace_jsonl_matches_json_dumps(records):
+    expected = "".join(
+        json.dumps(
+            {
+                "gen": rec.gen,
+                "fw": rec.fw,
+                "gap": rec.gap,
+                "df": rec.df,
+                "scale": rec.scale,
+                "restart": rec.restart,
+            }
+        )
+        + "\n"
+        for rec in records
+    )
+    assert _trace_jsonl(records) == expected
 
 
 def test_run_experiment_gaussian_limit_and_random_search(tmp_path):
