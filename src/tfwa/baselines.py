@@ -16,10 +16,11 @@ objective, and uses ``evaluate_batch`` when it has one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from .explosion import _evaluate_all
 from .swarm import (
     RunResult,
@@ -52,7 +53,8 @@ def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
 
 @dataclass
 class _UniformFirework:
-    """Uniform-explosion firework; ``scale`` is the hypercube half-width."""
+    """Uniform-explosion firework; ``scale`` is the hypercube half-width and
+    ``rng`` the firework's own generator."""
 
     mean: np.ndarray
     scale: float
@@ -62,6 +64,7 @@ class _UniformFirework:
     df: float = 0.0
     improvement: float = 0.0
     gen_improvement: float = 0.0
+    rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
 
 def uniform_sparks(mean, amplitude, lam, lb, ub, rng):
@@ -78,17 +81,17 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     greedily moves to the best spark when it improves on the firework's
     fitness, growing the amplitude on improvement and shrinking it
     otherwise.  Budget accounting, the tournament and the trace format are
-    the swarm run's.
+    the swarm run's, and so are the per-firework generators: one seed starts
+    the uniform fireworks at the t fireworks' means.
     """
-    rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)
     box = float(problem.ub - problem.lb)
 
-    def fresh(_old=None):
+    def new(rng):
         return _fresh_firework(_UniformFirework, problem, rng, scale=AMPLITUDE_INIT * box)
 
-    def burst(_i, fw):
-        sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, rng)
+    def burst(fw):
+        sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, fw.rng)
         k, gen_best = _best_of(_evaluate_all(problem, sparks))
         fw.gen_improvement = fw.last_gen_best - gen_best
         # The firework only ever moves to an improving spark, so its current
@@ -101,10 +104,11 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
             fw.scale *= AMPLITUDE_DECAY
         return sparks[k], gen_best
 
-    fireworks = [fresh() for _ in range(n)]
-    return _drive(problem, config.eps, lam, budget, fireworks, fresh, burst)
+    fireworks = [new(rng) for rng in np.random.default_rng(config.seed).spawn(n)]
+    return _drive(problem, config.eps, lam, budget, fireworks, lambda fw: new(fw.rng), burst)
 
 
+@blas.single_thread()
 def random_search_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform random search over the full box, one batch per generation.
 
@@ -113,7 +117,8 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
     generations are drawn and evaluated in blocks of up to ``BLOCK_COORDS``
     coordinates.  Uniform draws fill the stream in order and an objective
     evaluates each point on its own, so the result equals drawing and
-    evaluating one generation per call.
+    evaluating one generation per call.  BLAS runs on one thread for the
+    whole run.
     """
     rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)

@@ -58,7 +58,9 @@ class FireworkState:
     improvement used by the loser-out tournament.  ``gen_count`` counts
     generations since the last (re)start.  ``eigvals`` and ``eigvecs`` are
     the eigenpair of ``shape``; construction computes it unless both are
-    given, and :func:`explode` rewrites it together with ``shape``.
+    given, and :func:`explode` rewrites it together with ``shape``.  ``rng``
+    is the firework's own generator, which a run's driver hands to
+    :func:`explode` and to the firework's restarts.
     """
 
     mean: np.ndarray
@@ -76,6 +78,7 @@ class FireworkState:
     gen_count: int = 0
     eigvals: np.ndarray | None = field(default=None, repr=False)
     eigvecs: np.ndarray | None = field(default=None, repr=False)
+    rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eigvals is None or self.eigvecs is None:

@@ -12,6 +12,11 @@ share the same accounting.  Each t firework carries its own
 degree-of-freedom growth factor, so one can anneal to Gaussian sampling
 quickly while another keeps heavy tails for longer.
 
+Each firework draws from its own generator, spawned from the run's seed, so
+its explosions do not depend on one another: at large dimension a
+generation's fireworks explode on a thread pool, with the same results as
+exploding them in turn.
+
 A NaN fitness counts as ``+inf``, the worst value, wherever a best is
 picked, so an objective that is undefined on part of the box cannot hide
 the finite values it returned elsewhere.
@@ -20,10 +25,14 @@ the finite values it returned elsewhere.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .explosion import (
     DegenerateStateError,
     FireworkState,
@@ -32,6 +41,13 @@ from .explosion import (
     explode,
 )
 from .tdist import DF_CAP
+
+# A generation's fireworks explode on a thread pool when the dimension is at
+# least this, and in turn below it.  Sampling, the eigendecomposition, the
+# matrix products and most objectives release the GIL, so at large d the
+# explosions overlap; at small d the hand-off to the pool costs more than an
+# explosion.
+THREAD_MIN_DIM = 40
 
 
 @dataclass
@@ -94,7 +110,6 @@ class SwarmState:
 
     fireworks: list
     params: StrategyParams
-    evals_used: int
     budget: int
 
 
@@ -112,11 +127,12 @@ def resolve_run_shape(problem, config: SwarmConfig):
             f"df_factors must provide one factor per firework "
             f"({n}), got {len(config.df_factors)}"
         )
-    if any(f <= 1.0 for f in config.df_factors):
+    # written so that a NaN fails the check
+    if any(not f > 1.0 for f in config.df_factors):
         raise ValueError("df growth factors must exceed 1")
     if not 2.0 <= config.df_init <= DF_CAP:
         raise ValueError(f"df_init must lie in [2, {DF_CAP:.0f}], got {config.df_init}")
-    if config.eps <= 0:
+    if not config.eps > 0:
         raise ValueError("eps must be positive")
     lam = config.sparks_per_firework
     if lam is None:
@@ -136,7 +152,8 @@ def _fresh_firework(cls, problem, rng, **fields):
     """A ``cls`` firework at a uniform mean in the centre half of the box.
 
     The centre half is ``[lb + w/4, ub - w/4]`` with ``w = ub - lb``.  The
-    mean is evaluated once; ``fields`` supply the algorithm's own state.
+    mean is drawn from ``rng``, which the firework keeps for its explosions,
+    and evaluated once; ``fields`` supply the algorithm's own state.
     """
     quarter = (problem.ub - problem.lb) / 4.0
     mean = rng.uniform(problem.lb + quarter, problem.ub - quarter, size=problem.dim)
@@ -144,7 +161,12 @@ def _fresh_firework(cls, problem, rng, **fields):
     if f0 != f0:
         f0 = math.inf
     return cls(
-        mean=mean, last_gen_best=f0, best_fitness=f0, best_position=mean.copy(), **fields
+        mean=mean,
+        last_gen_best=f0,
+        best_fitness=f0,
+        best_position=mean.copy(),
+        rng=rng,
+        **fields,
     )
 
 
@@ -169,14 +191,18 @@ def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkS
 def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     """Initialise all fireworks and evaluate their means.
 
-    Means are drawn uniformly from the centre half of the search box,
-    the shape matrix starts at identity with step size ``ub - lb``, and
-    both evolution paths start at zero.  Uses ``n_fireworks`` evaluations.
+    Firework ``i`` gets the ``i``-th generator spawned from ``rng``, and its
+    mean is drawn uniformly from the centre half of the search box; the
+    shape matrix starts at identity with step size ``ub - lb``, and both
+    evolution paths start at zero.  Uses ``n_fireworks`` evaluations.
     """
     n, lam, budget = resolve_run_shape(problem, config)
-    fireworks = [_fresh_t_firework(problem, config, f, rng) for f in config.df_factors]
+    fireworks = [
+        _fresh_t_firework(problem, config, f, r)
+        for f, r in zip(config.df_factors, rng.spawn(n))
+    ]
     params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
-    return SwarmState(fireworks=fireworks, params=params, evals_used=n, budget=budget)
+    return SwarmState(fireworks=fireworks, params=params, budget=budget)
 
 
 def _best_of(fits):
@@ -210,10 +236,12 @@ def loser_out_check(fw: FireworkState, g, g_max, global_best, eps) -> bool:
 
 
 def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
-    """Fresh firework state at a uniform position; one evaluation.
+    """Fresh firework state at a uniform position drawn from ``rng``; one
+    evaluation.
 
     The degree-of-freedom growth factor is the only field inherited from
-    the thrown-out firework.
+    the thrown-out firework; a run passes the thrown-out firework's own
+    generator as ``rng``.
     """
     return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
@@ -224,11 +252,10 @@ def run(problem, config: SwarmConfig) -> RunResult:
     Deterministic given ``config.seed``.  Budget accounting, restarts and
     the trace follow :func:`_drive`.
     """
-    rng = np.random.default_rng(config.seed)
-    swarm = init_swarm(problem, config, rng)
+    swarm = init_swarm(problem, config, np.random.default_rng(config.seed))
 
-    def burst(i, fw):
-        xs, fits = explode(fw, swarm.params, problem, rng)
+    def burst(fw):
+        xs, fits = explode(fw, swarm.params, problem, fw.rng)
         return xs[0], fits[0]
 
     return _drive(
@@ -237,7 +264,7 @@ def run(problem, config: SwarmConfig) -> RunResult:
         swarm.params.lam,
         swarm.budget,
         swarm.fireworks,
-        fresh=lambda fw: restart_firework(fw, problem, config, rng),
+        fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
         burst=burst,
     )
 
@@ -248,18 +275,32 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
     The caller resolves the run shape (:func:`resolve_run_shape`): ``lam``
     sparks per explosion, ``budget`` evaluations in all, tournament
     threshold ``eps``.  ``fireworks`` holds the initial fireworks, one
-    evaluation each.  Every generation explodes the fireworks in turn with
-    ``burst(i, fw)``, which updates ``fw`` in place and returns the
-    generation's best spark and its fitness.  A firework whose explosion raises
-    :class:`DegenerateStateError` is replaced at once by ``fresh(fw)`` (a
-    new firework, one evaluation); after a complete generation the
-    loser-out tournament replaces its losers the same way.
+    evaluation each.  Every generation explodes fireworks with
+    ``burst(fw)``, which updates ``fw`` in place, drawing only from the
+    firework's own generator, and returns the generation's best spark and
+    its fitness.  A firework whose explosion raises
+    :class:`DegenerateStateError` is replaced by ``fresh(fw)`` (a new
+    firework, one evaluation); after a complete generation the loser-out
+    tournament replaces its losers the same way.
 
-    Explosions stop as soon as the next one would push the evaluation count
-    past the budget; tournament restarts only happen after complete
-    generations, so the total count stays within budget + n_fireworks.
+    Budget: the evaluation count at the start of a generation decides how
+    many fireworks explode, the leading ones whose ``lam`` sparks each still
+    fit within the budget.  A generation in which fewer than all explode is
+    the last.  Restarts come after the explosions, one evaluation each, and
+    the tournament only runs after complete generations, so the total count
+    stays within budget + n_fireworks.
+
+    Below ``THREAD_MIN_DIM`` the fireworks explode in turn; from it on they
+    explode on a pool of ``min(n_fireworks, os.cpu_count())`` threads, so
+    ``burst`` and the objective may be called from several threads at once.
+    Either way the outcomes are then handled in firework order: best-so-far
+    tracking, restarts, the tournament and the trace rows, so both paths
+    give the same result.  BLAS runs on one thread for the whole run.
     """
     n = len(fireworks)
+    workers = min(n, os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(workers) if workers > 1 and problem.dim >= THREAD_MIN_DIM else None
+    explode_all = map if pool is None else pool.map
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))
     evals = n
@@ -277,6 +318,12 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
         track(fireworks[i].best_fitness, fireworks[i].best_position)
         restarted.add(i)
 
+    def attempt(fw):
+        try:
+            return burst(fw)
+        except DegenerateStateError as exc:
+            return exc
+
     for fw in fireworks:
         track(fw.best_fitness, fw.best_position)
 
@@ -284,51 +331,47 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
     generations = 0
     g = 0
     full = True
-    while full:
-        g += 1
-        restarted = set()
-        rows = range(n)
-        for i in range(n):
-            if evals + lam > budget:
-                # out of budget: only fireworks before i took part
-                rows = range(i)
-                break
-            try:
-                x, f = burst(i, fireworks[i])
-            except DegenerateStateError as exc:
-                if exc.fitnesses is not None:
-                    evals += lam
-                    k, f = _best_of(exc.fitnesses)
-                    track(f, exc.sparks[k])
-                restart(i)
-            else:
-                evals += lam
-                track(f, x)
-
-        full = len(rows) == n
-        if full:
-            global_best = min(fw.last_gen_best for fw in fireworks)
-            for i in range(n):
-                if i not in restarted and loser_out_check(
-                    fireworks[i], g, g_max, global_best, eps
-                ):
+    with blas.single_thread(), pool or nullcontext():
+        while full:
+            g += 1
+            restarted = set()
+            k = min(n, max(0, (budget - evals) // lam))
+            for i, outcome in enumerate(list(explode_all(attempt, fireworks[:k]))):
+                if isinstance(outcome, DegenerateStateError):
+                    if outcome.fitnesses is not None:
+                        evals += lam
+                        j, f = _best_of(outcome.fitnesses)
+                        track(f, outcome.sparks[j])
                     restart(i)
+                else:
+                    evals += lam
+                    x, f = outcome
+                    track(f, x)
 
-        for i in rows:
-            fw = fireworks[i]
-            trace.append(
-                TraceRecord(
-                    gen=g,
-                    fw=i,
-                    gap=fw.last_gen_best - f_star,
-                    df=fw.df,
-                    scale=fw.scale,
-                    restart=i in restarted,
-                    best_gap=best_f - f_star,
+            full = k == n
+            if full:
+                global_best = min(fw.last_gen_best for fw in fireworks)
+                for i in range(n):
+                    if i not in restarted and loser_out_check(
+                        fireworks[i], g, g_max, global_best, eps
+                    ):
+                        restart(i)
+
+            for i in range(k):
+                fw = fireworks[i]
+                trace.append(
+                    TraceRecord(
+                        gen=g,
+                        fw=i,
+                        gap=fw.last_gen_best - f_star,
+                        df=fw.df,
+                        scale=fw.scale,
+                        restart=i in restarted,
+                        best_gap=best_f - f_star,
+                    )
                 )
-            )
-        if rows:
-            generations = g
+            if k:
+                generations = g
 
     return RunResult(
         best_position=best_x,

@@ -278,6 +278,13 @@ def test_cli_run_rejects_unknown_problem(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_run_rejects_nan_eps(tmp_path, capsys):
+    argv = ["run", "--suite", "sphere", "--dims", "5", "--reps", "1", "--budget-mult", "600"]
+    code = main([*argv, "--eps", "nan", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     out = tmp_path / "from_config"
     cfg_path = tmp_path / "exp.json"

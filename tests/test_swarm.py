@@ -36,18 +36,22 @@ def test_resolve_defaults_dim3():
         SwarmConfig(n_fireworks=0, df_factors=()),
         SwarmConfig(n_fireworks=2, df_factors=(1.05,)),
         SwarmConfig(df_factors=(1.0, 10.0)),
+        SwarmConfig(df_factors=(float("nan"), 10.0)),
         SwarmConfig(df_init=1.5),
         SwarmConfig(df_init=2.0**31),
         SwarmConfig(eps=0.0),
+        SwarmConfig(eps=float("nan")),
         SwarmConfig(budget=10),
     ],
     ids=[
         "no-fireworks",
         "factor-arity",
         "factor-too-small",
+        "df-factor-nan",
         "df-low",
         "df-high",
         "eps",
+        "eps-nan",
         "budget",
     ],
 )
@@ -60,7 +64,6 @@ def test_resolve_rejects_bad_config(config):
 def test_init_swarm_state():
     problem = make_problem("sphere", 6, seed=0)
     state = init_swarm(problem, SwarmConfig(seed=0), np.random.default_rng(0))
-    assert state.evals_used == 2
     for fw in state.fireworks:
         assert np.all(fw.mean >= -50.0) and np.all(fw.mean <= 50.0)
         assert fw.scale == 200.0
