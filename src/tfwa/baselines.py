@@ -41,6 +41,12 @@ AMPLITUDE_INIT = 0.5
 AMPLITUDE_GROWTH = 1.2
 AMPLITUDE_DECAY = 0.9
 
+# A generation's uniform fireworks explode on a thread pool when the
+# dimension is at least this.  A uniform burst has no eigendecomposition, so
+# it is cheaper than a t explosion and pays for the hand-off to a thread only
+# at a higher dimension than swarm.THREAD_MIN_DIM.
+UNIFORM_THREAD_MIN_DIM = 72
+
 # Random search draws and evaluates whole generations at a time, at most this
 # many coordinates per block and at least one generation.
 BLOCK_COORDS = 2**16
@@ -105,7 +111,16 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
         return sparks[k], gen_best
 
     fireworks = [new(rng) for rng in np.random.default_rng(config.seed).spawn(n)]
-    return _drive(problem, config.eps, lam, budget, fireworks, lambda fw: new(fw.rng), burst)
+    return _drive(
+        problem,
+        config.eps,
+        lam,
+        budget,
+        fireworks,
+        fresh=lambda fw: new(fw.rng),
+        burst=burst,
+        threaded=problem.dim >= UNIFORM_THREAD_MIN_DIM,
+    )
 
 
 @blas.single_thread()

@@ -31,7 +31,7 @@ import numpy as np
 
 from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
 from .benchfns import PROBLEM_NAMES, make_problem
-from .swarm import SwarmConfig, run
+from .swarm import SwarmConfig, _share_cores, run
 
 # Algorithm name -> name of its runner in this module.  ``_run_one`` looks the
 # runner up at call time, so a rebinding of the module attribute (a profiling
@@ -298,7 +298,9 @@ def run_experiment(config: ExperimentConfig):
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
     ``summary.csv``, ``config.json`` and per-run trace JSONL files.  Each
     run's trace is serialised in the process that ran it, a worker when
-    ``config.workers > 1``; a trace line spells floats as ``float.__repr__``
+    ``config.workers > 1`` and there is more than one run; a worker's runs
+    explode fireworks on threads only from its share of the cores
+    (``swarm._cores``).  A trace line spells floats as ``float.__repr__``
     does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
     booleans as ``true``/``false``, exactly as ``json.dumps`` would.  Reruns
     with the same configuration produce byte-identical files, whatever the
@@ -318,8 +320,12 @@ def run_experiment(config: ExperimentConfig):
                     )
                     jobs.append(((name, dim, config.base_seed), algo, cfg, traced))
 
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    processes = min(config.workers, len(jobs))
+    if processes > 1:
+        # the workers share the cores, so a run explodes its fireworks on
+        # threads only where its worker has cores to spare
+        pool = ProcessPoolExecutor(processes, initializer=_share_cores, initargs=(processes,))
+        with pool:
             outcomes = list(pool.map(_run_one, jobs, chunksize=1))
     else:
         outcomes = [_run_one(job) for job in jobs]

@@ -42,8 +42,8 @@ from .explosion import (
 )
 from .tdist import DF_CAP
 
-# A generation's fireworks explode on a thread pool when the dimension is at
-# least this, and in turn below it.  Sampling, the eigendecomposition, the
+# A generation's t fireworks explode on a thread pool when the dimension is
+# at least this, and in turn below it.  Sampling, the eigendecomposition, the
 # matrix products and most objectives release the GIL, so at large d the
 # explosions overlap; at small d the hand-off to the pool costs more than an
 # explosion.
@@ -266,10 +266,32 @@ def run(problem, config: SwarmConfig) -> RunResult:
         swarm.fireworks,
         fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
         burst=burst,
+        threaded=problem.dim >= THREAD_MIN_DIM,
     )
 
 
-def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
+# The number of processes that share this process's cores.  A grid's worker
+# processes set it to the worker count, so that their runs together explode
+# on no more threads than there are cores.
+_sharing = 1
+
+
+def _share_cores(processes: int) -> None:
+    """Note that ``processes`` processes, this one among them, share its cores."""
+    global _sharing
+    _sharing = processes
+
+
+def _cores() -> int:
+    """This process's share of the cores it may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, cores // _sharing)
+
+
+def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunResult:
     """Generation loop shared by every firework algorithm.
 
     The caller resolves the run shape (:func:`resolve_run_shape`): ``lam``
@@ -290,16 +312,18 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
     the tournament only runs after complete generations, so the total count
     stays within budget + n_fireworks.
 
-    Below ``THREAD_MIN_DIM`` the fireworks explode in turn; from it on they
-    explode on a pool of ``min(n_fireworks, os.cpu_count())`` threads, so
-    ``burst`` and the objective may be called from several threads at once.
-    Either way the outcomes are then handled in firework order: best-so-far
+    The caller decides from the cost of ``burst`` whether a generation's
+    fireworks explode in turn or, when ``threaded``, on a pool of
+    ``min(n_fireworks, cores)`` threads, where cores is this process's
+    share of the cores it may run on (:func:`_cores`), so that ``burst``
+    and the objective may be called from several threads at once.  Either
+    way the outcomes are then handled in firework order: best-so-far
     tracking, restarts, the tournament and the trace rows, so both paths
     give the same result.  BLAS runs on one thread for the whole run.
     """
     n = len(fireworks)
-    workers = min(n, os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(workers) if workers > 1 and problem.dim >= THREAD_MIN_DIM else None
+    workers = min(n, _cores()) if threaded else 1
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     explode_all = map if pool is None else pool.map
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))

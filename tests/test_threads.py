@@ -1,11 +1,11 @@
 """Explosions on threads, per-firework generators and the per-run BLAS pin.
 
-From ``swarm.THREAD_MIN_DIM`` on, a generation's fireworks explode on a
-thread pool.  Each firework draws from its own generator and the driver
-handles the outcomes in firework order, so the threaded and the in-turn
-path must give the same run, bit for bit.  Every run holds BLAS at one
-thread, which also makes a d=100 run independent of the thread count the
-process started with.
+From ``swarm.THREAD_MIN_DIM`` on (``baselines.UNIFORM_THREAD_MIN_DIM`` for
+the uniform fireworks), a generation's fireworks explode on a thread pool.
+Each firework draws from its own generator and the driver handles the
+outcomes in firework order, so the threaded and the in-turn path must give
+the same run, bit for bit.  Every run holds BLAS at one thread, which also
+makes a d=100 run independent of the thread count the process started with.
 """
 
 import dataclasses
@@ -18,11 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfwa.baselines as baselines_mod
+import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
 from tfwa import blas
 from tfwa.baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
+from tfwa.harness import ExperimentConfig, run_experiment
 from tfwa.swarm import SwarmConfig, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,7 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DIM = 48  # above the crossover
 LAM = 240  # the default sparks per firework at DIM with two fireworks
 
-IN_TURN, THREADED = 10**9, 0  # values of THREAD_MIN_DIM that force each path
+IN_TURN, THREADED = 10**9, 0  # threshold dimensions that force each path
 
 needs_blas = pytest.mark.skipif(blas.threads() is None, reason="no bundled OpenBLAS")
 
@@ -59,6 +62,13 @@ class _Problem:
         return self.problem.evaluate_batch(xs)
 
 
+def _force(monkeypatch, min_dim, cores=2):
+    """Send every algorithm down one path, on a pool of up to ``cores`` threads."""
+    monkeypatch.setattr(swarm_mod, "THREAD_MIN_DIM", min_dim)
+    monkeypatch.setattr(baselines_mod, "UNIFORM_THREAD_MIN_DIM", min_dim)
+    monkeypatch.setattr(swarm_mod, "_cores", lambda: cores)
+
+
 def _as_tuple(result):
     return (
         result.best_fitness,
@@ -81,7 +91,7 @@ def test_threaded_matches_in_turn(monkeypatch, runner, tail):
     config = SwarmConfig(seed=3, budget=2 + 8 * 2 * LAM + tail)
     results, problems = [], []
     for min_dim in (IN_TURN, THREADED):
-        monkeypatch.setattr(swarm_mod, "THREAD_MIN_DIM", min_dim)
+        _force(monkeypatch, min_dim)
         problems.append(_Problem(make_problem("rastrigin", DIM, seed=0)))
         results.append(runner(problems[-1], config))
     in_turn, threaded = results
@@ -96,7 +106,6 @@ def test_threaded_matches_in_turn_under_stress(monkeypatch):
     # more fireworks and pool threads than cores, and thread switches every
     # few microseconds: a firework touching another's state or generator, or
     # outcomes taken in completion order, would show as a different run
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
     config = SwarmConfig(
         n_fireworks=6,
         df_factors=(1.05, 10.0, 2.0, 1.5, 3.0, 5.0),
@@ -110,7 +119,7 @@ def test_threaded_matches_in_turn_under_stress(monkeypatch):
     try:
         sys.setswitchinterval(1e-5)
         for min_dim in (IN_TURN, THREADED):
-            monkeypatch.setattr(swarm_mod, "THREAD_MIN_DIM", min_dim)
+            _force(monkeypatch, min_dim, cores=6)
             results.append(run(make_problem("rastrigin", DIM, seed=1), config))
     finally:
         sys.setswitchinterval(interval)
@@ -139,7 +148,7 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
     for min_dim in (IN_TURN, THREADED):
         events = []
         monkeypatch.setattr(swarm_mod, "explode", explode)
-        monkeypatch.setattr(swarm_mod, "THREAD_MIN_DIM", min_dim)
+        _force(monkeypatch, min_dim)
         results.append(run(make_problem("rastrigin", DIM, seed=0), config))
         seen.append(sorted(events))
     in_turn, threaded = results
@@ -148,6 +157,77 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
     assert {"after-evaluation", "before-sampling"} <= set(seen[0])
     assert in_turn.restarts >= len(seen[0])
     assert in_turn.evals_used <= config.budget + config.n_fireworks
+
+
+def test_each_algorithm_takes_its_own_path(monkeypatch):
+    # between the two thresholds a t explosion is worth a thread and a
+    # uniform burst is not
+    assert swarm_mod.THREAD_MIN_DIM <= DIM < baselines_mod.UNIFORM_THREAD_MIN_DIM
+    monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
+    config = SwarmConfig(seed=0, budget=2 + 2 * 2 * LAM)
+    threads = {}
+    for runner in (run, gaussian_limit_run, uniform_fwa_run):
+        problem = _Problem(make_problem("rastrigin", DIM, seed=0))
+        runner(problem, config)
+        threads[runner.__name__] = threading.get_ident() in problem.threads
+    assert threads == {"run": False, "gaussian_limit_run": False, "uniform_fwa_run": True}
+
+
+def test_one_core_explodes_in_turn(monkeypatch):
+    _force(monkeypatch, THREADED, cores=1)
+    problem = _Problem(make_problem("rastrigin", DIM, seed=0))
+    run(problem, SwarmConfig(seed=0, budget=2 + 2 * 2 * LAM))
+    assert problem.threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("sharing, share", [(1, 4), (2, 2), (3, 1), (8, 1)])
+def test_cores_is_the_process_share(monkeypatch, sharing, share):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(swarm_mod, "_sharing", sharing)
+    assert swarm_mod._cores() == share
+
+
+def test_grid_workers_share_the_cores(monkeypatch):
+    # a grid on as many workers as cores leaves each run one core, so its
+    # fireworks explode in turn
+    class InlinePool:
+        """A process pool that runs its initializer and jobs in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            pools.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            return map(fn, jobs)
+
+    pools, problems = [], []
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness_mod, "make_problem", lambda *args: _record(make_problem(*args)))
+    monkeypatch.setattr(swarm_mod, "_sharing", 1)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def _record(problem):
+        problems.append(_Problem(problem))
+        return problems[-1]
+
+    config = ExperimentConfig(
+        suite=("rastrigin",), dims=(DIM,), algos=("tfwa",), reps=2, budget_multiplier=60, workers=2
+    )
+    rows, _ = run_experiment(config)
+    assert pools == [2] and len(rows) == 2
+    assert [p.threads for p in problems] == [{threading.get_ident()}] * 2
 
 
 _D100_SCRIPT = """
