@@ -26,7 +26,6 @@ from .swarm import (
     RunResult,
     SwarmConfig,
     TraceRecord,
-    _best_of,
     _drive,
     _fresh_firework,
     resolve_run_shape,
@@ -80,6 +79,7 @@ def uniform_sparks(mean, amplitude, lam, lb, ub, rng):
     return np.minimum(np.maximum(mean + span, lb), ub)
 
 
+@blas.single_thread()
 def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform-explosion fireworks with dynamic amplitude and loser-out restarts.
 
@@ -98,7 +98,9 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
 
     def burst(fw):
         sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, fw.rng)
-        k, gen_best = _best_of(_evaluate_all(problem, sparks))
+        fits = _evaluate_all(problem, sparks)
+        k = int(fits.argmin())
+        gen_best = float(fits[k])
         fw.gen_improvement = fw.last_gen_best - gen_best
         # The firework only ever moves to an improving spark, so its current
         # fitness is also its all-time best.
@@ -132,8 +134,7 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
     generations are drawn and evaluated in blocks of up to ``BLOCK_COORDS``
     coordinates.  Uniform draws fill the stream in order and an objective
     evaluates each point on its own, so the result equals drawing and
-    evaluating one generation per call.  BLAS runs on one thread for the
-    whole run.
+    evaluating one generation per call.
     """
     rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)
@@ -151,8 +152,6 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
         k = min(block, total - g)
         xs = rng.uniform(problem.lb, problem.ub, size=(k * batch, d))
         fits = _evaluate_all(problem, xs).reshape(k, batch)
-        # a NaN counts as +inf and ties go to the first index, as in _best_of
-        fits = np.where(np.isnan(fits), np.inf, fits)
         picks = fits.argmin(axis=1)
         gen_bests = fits[np.arange(k), picks]
         for j, (i, f) in enumerate(zip(picks.tolist(), gen_bests.tolist())):

@@ -251,10 +251,20 @@ def regularize_covariance(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _evaluate_all(objective, xs):
+    """Fitnesses of the rows of ``xs`` as a new array, a NaN counting as
+    ``+inf``, the worst value, so that it cannot hide finite values."""
     batch = getattr(objective, "evaluate_batch", None)
     if batch is not None:
-        return np.asarray(batch(xs), dtype=float)
-    return np.array([float(objective.evaluate(x)) for x in xs])
+        fits = np.asarray(batch(xs), dtype=float)
+    else:
+        fits = np.array([float(objective.evaluate(x)) for x in xs])
+    return np.fmin(fits, np.inf)  # fmin takes the non-NaN operand
+
+
+def _evaluate_one(objective, x) -> float:
+    """Fitness of the point ``x``, a NaN counting as ``+inf`` as above."""
+    f = float(objective.evaluate(x))
+    return math.inf if f != f else f
 
 
 def explode(state: FireworkState, params: StrategyParams, objective, rng):
@@ -262,7 +272,8 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
 
     ``objective`` must expose ``lb``, ``ub`` and ``evaluate(x) -> float``
     (an ``evaluate_batch`` method is used when present).  Returns the pair
-    ``(positions, fitnesses)`` of the evaluated sparks sorted best first.
+    ``(positions, fitnesses)`` of the evaluated sparks sorted best first,
+    a NaN fitness as ``+inf`` (:func:`_evaluate_all`).
     State is only written once every quantity for the generation has been
     computed, so a raised :class:`DegenerateStateError` leaves ``state``
     untouched apart from carrying the evaluated sparks on the exception.
@@ -312,8 +323,6 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
         raise
 
     gen_best = float(fits[0])
-    if gen_best != gen_best:  # every spark is NaN, which counts as +inf
-        gen_best = math.inf
     state.mean = mean_new
     state.shape = shape_new
     state.eigvals, state.eigvecs = vals_new, vecs_new

@@ -282,6 +282,10 @@ def validate_experiment(config: ExperimentConfig):
     for dim in config.dims:
         if dim < 2:
             raise ValueError(f"benchmark problems require dim >= 2, got {dim}")
+    # a repeated entry would run each of its cells twice under the same seeds
+    for label, values in (("suite", config.suite), ("dims", config.dims), ("algos", config.algos)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{label} lists an entry twice: {' '.join(map(str, values))}")
     if config.reps < 1:
         raise ValueError("reps must be at least 1")
     if config.budget_multiplier < 1:
@@ -471,7 +475,6 @@ def _cmd_run(args):
     )
     if config.out_dir is None:
         raise ValueError("an output directory is required (--out or config file)")
-    validate_experiment(config)
     _, summary = run_experiment(config)
     for row in summary:
         print(

@@ -16,10 +16,6 @@ Each firework draws from its own generator, spawned from the run's seed, so
 its explosions do not depend on one another: at large dimension a
 generation's fireworks explode on a thread pool, with the same results as
 exploding them in turn.
-
-A NaN fitness counts as ``+inf``, the worst value, wherever a best is
-picked, so an objective that is undefined on part of the box cannot hide
-the finite values it returned elsewhere.
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from .explosion import (
     DegenerateStateError,
     FireworkState,
     StrategyParams,
+    _evaluate_one,
     derive_params,
     explode,
 )
@@ -157,9 +154,7 @@ def _fresh_firework(cls, problem, rng, **fields):
     """
     quarter = (problem.ub - problem.lb) / 4.0
     mean = rng.uniform(problem.lb + quarter, problem.ub - quarter, size=problem.dim)
-    f0 = float(problem.evaluate(mean))
-    if f0 != f0:
-        f0 = math.inf
+    f0 = _evaluate_one(problem, mean)
     return cls(
         mean=mean,
         last_gen_best=f0,
@@ -205,21 +200,6 @@ def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
     return SwarmState(fireworks=fireworks, params=params, budget=budget)
 
 
-def _best_of(fits):
-    """Index and value of the smallest fitness, a NaN counting as ``+inf``.
-
-    ``argmin`` picks the first NaN when there is one, so the fallback
-    only runs after it did; a finite batch pays one scalar check.
-    """
-    k = int(fits.argmin())
-    f = float(fits[k])
-    if f != f:
-        clean = np.where(np.isnan(fits), np.inf, fits)
-        k = int(np.argmin(clean))
-        f = float(clean[k])
-    return k, f
-
-
 def loser_out_check(fw: FireworkState, g, g_max, global_best, eps) -> bool:
     """Decide whether a firework should be thrown out and restarted.
 
@@ -246,6 +226,7 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
     return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
 
+@blas.single_thread()
 def run(problem, config: SwarmConfig) -> RunResult:
     """Full optimisation run on ``problem`` under ``config``.
 
@@ -319,7 +300,7 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunR
     and the objective may be called from several threads at once.  Either
     way the outcomes are then handled in firework order: best-so-far
     tracking, restarts, the tournament and the trace rows, so both paths
-    give the same result.  BLAS runs on one thread for the whole run.
+    give the same result.
     """
     n = len(fireworks)
     workers = min(n, _cores()) if threaded else 1
@@ -355,7 +336,7 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunR
     generations = 0
     g = 0
     full = True
-    with blas.single_thread(), pool or nullcontext():
+    with pool or nullcontext():
         while full:
             g += 1
             restarted = set()
@@ -364,8 +345,8 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunR
                 if isinstance(outcome, DegenerateStateError):
                     if outcome.fitnesses is not None:
                         evals += lam
-                        j, f = _best_of(outcome.fitnesses)
-                        track(f, outcome.sparks[j])
+                        j = int(outcome.fitnesses.argmin())
+                        track(outcome.fitnesses[j], outcome.sparks[j])
                     restart(i)
                 else:
                     evals += lam

@@ -31,7 +31,7 @@ from tfwa.natgrad import (
     natgrad_weight,
 )
 from tfwa.swarm import SwarmConfig, run
-from tfwa.tdist import TDistribution
+from tfwa.tdist import DF_CAP, TDistribution
 
 GRID_DIMS = (1, 2, 3)
 GRID_DFS = (3.0, 5.0, 10.0)
@@ -135,19 +135,25 @@ def test_criterion_4_distribution_correctness():
     )
 
 
-def test_criterion_5_gaussian_degeneration():
-    frozen = TDistribution(np.zeros(10), np.eye(10), 1.0e8)
+def _weight_ratio(df):
+    """Max/min natural weight over 50 sparks of a d=10 t distribution at ``df``."""
+    frozen = TDistribution(np.zeros(10), np.eye(10), df)
     s = frozen.mahalanobis(frozen.sample(50, default_rng(0)))
-    weights = natgrad_weight(s, 10, 1.0e8)
-    ratio = float(weights.max() / weights.min())
+    weights = natgrad_weight(s, 10, df)
+    return float(weights.max() / weights.min())
+
+
+def test_criterion_5_gaussian_degeneration():
+    ratio, ratio_cap = _weight_ratio(1.0e8), _weight_ratio(DF_CAP)
 
     hits = _success_count(make_problem("sphere", 10, seed=0), gaussian_limit_run)
-    ok = ratio < 1.001 and hits >= 27
+    ok = ratio < 1.001 and ratio_cap < 1.001 and hits >= 27
     _verdict(
         5,
         ok,
-        f"df frozen at 1e8: weight max/min ratio {ratio:.6f} (< 1.001); "
-        f"gaussian-limit sphere {hits}/30 runs at gap <= 1e-8 (need >= 27)",
+        f"weight max/min ratio {ratio:.6f} at df 1e8 and {ratio_cap:.6f} at df DF_CAP = 2^30 "
+        f"(each < 1.001); gaussian-limit (df frozen at DF_CAP) sphere {hits}/30 runs "
+        f"at gap <= 1e-8 (need >= 27)",
     )
 
 

@@ -14,7 +14,7 @@ from tfwa.baselines import (
     uniform_sparks,
 )
 from tfwa.benchfns import make_problem
-from tfwa.swarm import RunResult, SwarmConfig, TraceRecord, _best_of, resolve_run_shape
+from tfwa.swarm import RunResult, SwarmConfig, TraceRecord, resolve_run_shape
 from tfwa.tdist import DF_CAP
 
 
@@ -160,7 +160,9 @@ def _random_search_per_generation(problem, config):
         xs = rng.uniform(problem.lb, problem.ub, size=(batch, problem.dim))
         fits = problem.evaluate_batch(xs)
         evals += batch
-        k, f = _best_of(fits)
+        # a NaN counts as +inf, and the first of equal fitnesses wins
+        k = min(range(batch), key=lambda i: math.inf if math.isnan(fits[i]) else fits[i])
+        f = math.inf if math.isnan(fits[k]) else float(fits[k])
         if f < best_f:
             best_f, best_x = f, xs[k].copy()
         trace.append(

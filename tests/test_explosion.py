@@ -14,6 +14,8 @@ from tfwa.explosion import (
     DF_CAP,
     DegenerateStateError,
     FireworkState,
+    _evaluate_all,
+    _evaluate_one,
     adjust_degree_of_freedom,
     derive_params,
     dynamic_rates,
@@ -257,6 +259,45 @@ def _fresh_state(dim, df=5.0, scale=1.0, mean=None, f0=math.inf):
         best_fitness=f0,
         best_position=mean.copy(),
     )
+
+
+# fitnesses whose bits the NaN policy must keep, NaNs among them
+_FITS = [1.5, math.nan, -math.inf, -0.0, math.inf, 0.0, -2.0, math.nan, 5e-324]
+
+
+class _CachedObjective:
+    """Returns one cached array from every batch, and its entries by index."""
+
+    def __init__(self, values, batched):
+        self.values = np.array(values)
+        if batched:
+            self.evaluate_batch = lambda xs: self.values
+
+    def evaluate(self, x):
+        return self.values[int(x[0])]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["evaluate_batch", "evaluate-only"])
+def test_evaluate_all_counts_nan_as_inf_and_keeps_other_bits(batched):
+    objective = _CachedObjective(_FITS, batched)
+    xs = np.arange(len(_FITS), dtype=float)[:, None]
+    fits = _evaluate_all(objective, xs)
+    expected = np.array([math.inf if f != f else f for f in _FITS])
+    assert fits.dtype == np.float64
+    assert fits.tobytes() == expected.tobytes()
+    # the objective's own array is left as it was
+    assert objective.values is not fits
+    assert np.isnan(objective.values[[1, 7]]).all()
+
+
+def test_evaluate_one_counts_nan_as_inf_and_keeps_other_bits():
+    objective = _CachedObjective(_FITS, batched=True)
+    objective.evaluate_batch = None  # a single point goes through evaluate
+    got = [_evaluate_one(objective, np.array([float(i)])) for i in range(len(_FITS))]
+    assert all(type(f) is float for f in got)
+    expected = [math.inf if f != f else f for f in _FITS]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert np.isnan(objective.values[[1, 7]]).all()
 
 
 def test_explode_sorted_sparks_and_state_commit():

@@ -51,6 +51,28 @@ def test_validate_rejects_bad_counts():
         validate_experiment(ExperimentConfig(workers=0))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"suite": ("sphere", "rastrigin", "sphere")},
+        {"dims": (2, 5, 2)},
+        {"algos": ("tfwa", "tfwa")},
+    ],
+    ids=["suite", "dims", "algos"],
+)
+def test_validate_rejects_repeated_entries(grid):
+    with pytest.raises(ValueError, match="twice"):
+        validate_experiment(ExperimentConfig(**grid))
+
+
+def test_cli_run_rejects_repeated_problem(tmp_path, capsys):
+    argv = ["run", "--suite", "sphere", "sphere", "--dims", "2", "--algos", "random-search"]
+    code = main([*argv, "--reps", "3", "--budget-mult", "100", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "suite lists an entry twice" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_experiment_row_grid(tmp_path):
     config = ExperimentConfig(out_dir=str(tmp_path / "out"), **SMALL)
     rows, summary = run_experiment(config)

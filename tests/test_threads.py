@@ -48,10 +48,11 @@ class _Problem:
         self.fail = fail
         self.points = []  # every single point evaluated, in order
         self.threads = set()  # threads that evaluated a batch
-        self.blas_threads = set()  # BLAS thread counts seen by a batch
+        self.blas_threads = set()  # BLAS thread counts seen by any evaluation
 
     def evaluate(self, x):
         self.points.append(np.array(x, dtype=float))
+        self.blas_threads.add(blas.threads())
         return self.problem.evaluate(x)
 
     def evaluate_batch(self, xs):
