@@ -4,9 +4,11 @@ A fireworks-style optimiser whose explosions draw sparks from an adapted
 multivariate t distribution: natural-gradient update weights fuse with rank
 weights for the recombination, the degrees of freedom grow on improvement so
 sampling anneals from heavy tails toward a Gaussian, and a loser-out
-tournament restarts fireworks that cannot catch up.  A benchmark harness
-with shifted/rotated test functions, reference baselines and rank-sum
-statistics rounds out the package.
+tournament restarts fireworks that cannot catch up.  Shifted/rotated test
+functions and reference baselines round out the package; the benchmark
+harness (grids, rank-sum statistics, the ``tfwa-bench`` CLI) lives in
+``tfwa.harness``, which this module does not import, so ``python -m
+tfwa.harness`` runs it only once.
 """
 
 from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
@@ -23,15 +25,6 @@ from .explosion import (
     rank_weights,
     regularize_covariance,
     repair_bounds,
-)
-from .harness import (
-    ALGORITHMS,
-    ComparisonCell,
-    ExperimentConfig,
-    average_rank,
-    run_experiment,
-    wilcoxon_rank_sum,
-    win_lose_tie,
 )
 from .natgrad import (
     FisherBlocks,
@@ -56,12 +49,9 @@ from .tdist import DF_CAP, TDistribution
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
     "BenchmarkProblem",
-    "ComparisonCell",
     "DF_CAP",
     "DegenerateStateError",
-    "ExperimentConfig",
     "FireworkState",
     "FisherBlocks",
     "PROBLEM_NAMES",
@@ -71,7 +61,6 @@ __all__ = [
     "TDistribution",
     "TraceRecord",
     "adjust_degree_of_freedom",
-    "average_rank",
     "covariance_natural_gradient",
     "derive_params",
     "effective_mass",
@@ -92,8 +81,5 @@ __all__ = [
     "repair_bounds",
     "restart_firework",
     "run",
-    "run_experiment",
     "uniform_fwa_run",
-    "wilcoxon_rank_sum",
-    "win_lose_tie",
 ]

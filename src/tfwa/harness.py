@@ -6,13 +6,14 @@ seeded runs and writes four artifacts into the output directory:
 * ``results.csv`` with one row per run:
   ``problem,dim,algo,rep,seed,best_gap,evals,generations,restarts``
 * ``summary.csv`` with per-(problem, dim, algo) mean/std/median gaps
-* ``config.json`` echoing the resolved configuration
+* ``config.json`` echoing the resolved configuration, which ``run --config``
+  reads back to rerun the grid
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
   generation per firework: ``gen,fw,gap,df,scale,restart``, serialised by
   :func:`_trace_jsonl` in the process that ran it
 
 ``compare`` applies the rank-sum test per function between two results
-files; ``rank`` averages per-function ranks of mean gaps across any number
+files of one algorithm each; ``rank`` averages per-function ranks of mean gaps across any number
 of results files.
 """
 
@@ -23,8 +24,9 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,34 @@ class ComparisonCell:
     alpha: float = 0.05
 
 
+def _rank_sum_verdicts(results_a, results_b, alpha):
+    """``{function: (u, p, verdict)}`` in sorted function order.
+
+    The verdict is "tie" when the rank-sum test is not significant at
+    ``alpha`` or the means coincide; otherwise "a" or "b", the side with
+    the lower mean.
+    """
+    if set(results_a) != set(results_b):
+        raise ValueError("the two result sets cover different functions")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    verdicts = {}
+    for key in sorted(results_a):
+        u, p = wilcoxon_rank_sum(results_a[key], results_b[key])
+        mean_a = float(np.mean(results_a[key]))
+        mean_b = float(np.mean(results_b[key]))
+        if p >= alpha or mean_a == mean_b:
+            verdicts[key] = (u, p, "tie")
+        else:
+            verdicts[key] = (u, p, "a" if mean_a < mean_b else "b")
+    return verdicts
+
+
+def _tally(verdicts, alpha) -> ComparisonCell:
+    counts = Counter(verdict for _, _, verdict in verdicts.values())
+    return ComparisonCell(win=counts["a"], lose=counts["b"], tie=counts["tie"], alpha=alpha)
+
+
 def win_lose_tie(results_a, results_b, alpha=0.05) -> ComparisonCell:
     """Per-function rank-sum comparison aggregated into win/lose/tie counts.
 
@@ -152,22 +182,7 @@ def win_lose_tie(results_a, results_b, alpha=0.05) -> ComparisonCell:
     is not significant at ``alpha`` (or the means coincide); otherwise the
     side with the lower mean wins.
     """
-    if set(results_a) != set(results_b):
-        raise ValueError("the two result sets cover different functions")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    win = lose = tie = 0
-    for key in sorted(results_a):
-        _, p = wilcoxon_rank_sum(results_a[key], results_b[key])
-        mean_a = float(np.mean(results_a[key]))
-        mean_b = float(np.mean(results_b[key]))
-        if p >= alpha or mean_a == mean_b:
-            tie += 1
-        elif mean_a < mean_b:
-            win += 1
-        else:
-            lose += 1
-    return ComparisonCell(win=win, lose=lose, tie=tie, alpha=alpha)
+    return _tally(_rank_sum_verdicts(results_a, results_b, alpha), alpha)
 
 
 def average_rank(table):
@@ -292,6 +307,11 @@ def validate_experiment(config: ExperimentConfig):
         raise ValueError("budget multiplier must be at least 1")
     if config.workers < 1:
         raise ValueError("workers must be at least 1")
+    # run_experiment sets both per run, so any other value would do nothing
+    if config.swarm.seed != 0:
+        raise ValueError("swarm.seed must be 0: each run's seed is base_seed + rep")
+    if config.swarm.budget is not None:
+        raise ValueError("swarm.budget must be null: each run's budget is budget_multiplier * dim")
 
 
 def run_experiment(config: ExperimentConfig):
@@ -413,68 +433,47 @@ def _write_outputs(config, rows, summary, traces):
 # CLI
 
 
-def _read_results_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "problem": row["problem"],
-                    "dim": int(row["dim"]),
-                    "algo": row["algo"],
-                    "best_gap": float(row["best_gap"]),
-                }
-            )
-    if not rows:
-        raise ValueError(f"no result rows in {path}")
-    return rows
+def _read_gaps(paths):
+    """The best gaps of one or more results files, pooled, as ``{function:
+    {algo: [gap, ...]}}`` with functions named ``<problem>_d<dim>``."""
+    gaps = {}
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if not rows:
+            raise ValueError(f"no result rows in {path}")
+        for row in rows:
+            func = f"{row['problem']}_d{int(row['dim'])}"
+            gaps.setdefault(func, {}).setdefault(row["algo"], []).append(float(row["best_gap"]))
+    return gaps
 
 
-def _group_gaps(rows):
-    out = {}
-    for row in rows:
-        out.setdefault(f"{row['problem']}_d{row['dim']}", []).append(row["best_gap"])
-    return out
-
-
-def _load_config_file(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
-
-
-def _merge(cli_value, file_data, key, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_data:
-        return file_data[key]
-    return default
+def _tuples(data):
+    # JSON and argparse give lists where the dataclasses hold tuples
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
 
 
 def _cmd_run(args):
-    file_data = _load_config_file(args.config) if args.config else {}
-    swarm_data = dict(file_data.get("swarm", {}))
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+    # every field but swarm has a flag under its own name
+    for name in (f.name for f in fields(ExperimentConfig)):
+        if getattr(args, name, None) is not None:
+            data[name] = getattr(args, name)
+    swarm = data.pop("swarm", {})
+    if not isinstance(swarm, dict):
+        raise ValueError("swarm must hold a JSON object")
     if args.eps is not None:
-        swarm_data["eps"] = args.eps
+        swarm["eps"] = args.eps
     if args.literal_psigma:
-        swarm_data["literal_psigma"] = True
-    if "df_factors" in swarm_data:
-        swarm_data["df_factors"] = tuple(swarm_data["df_factors"])
-    config = ExperimentConfig(
-        suite=tuple(_merge(args.suite, file_data, "suite", list(PROBLEM_NAMES))),
-        dims=tuple(_merge(args.dims, file_data, "dims", [10])),
-        algos=tuple(_merge(args.algos, file_data, "algos", ["tfwa"])),
-        reps=_merge(args.reps, file_data, "reps", 30),
-        budget_multiplier=_merge(args.budget_mult, file_data, "budget_mult", 10000),
-        base_seed=_merge(args.seed, file_data, "seed", 0),
-        out_dir=_merge(args.out, file_data, "out", None),
-        workers=_merge(args.workers, file_data, "workers", 1),
-        swarm=SwarmConfig(**swarm_data),
-    )
+        swarm["literal_psigma"] = True
+    config = ExperimentConfig(**_tuples(data), swarm=SwarmConfig(**_tuples(swarm)))
     if config.out_dir is None:
-        raise ValueError("an output directory is required (--out or config file)")
+        raise ValueError("an output directory is required (--out or out_dir in the config file)")
     _, summary = run_experiment(config)
     for row in summary:
         print(
@@ -486,33 +485,27 @@ def _cmd_run(args):
     return 0
 
 
+def _one_algo_gaps(path):
+    gaps = _read_gaps([path])
+    algos = sorted({algo for by_algo in gaps.values() for algo in by_algo})
+    if len(algos) > 1:
+        raise ValueError(f"{path} holds more than one algorithm: {' '.join(algos)}")
+    return {func: next(iter(by_algo.values())) for func, by_algo in gaps.items()}
+
+
 def _cmd_compare(args):
-    rows_a = _read_results_csv(args.a)
-    rows_b = _read_results_csv(args.b)
-    groups_a = _group_gaps(rows_a)
-    groups_b = _group_gaps(rows_b)
-    cell = win_lose_tie(groups_a, groups_b, alpha=args.alpha)
-    for key in sorted(groups_a):
-        u, p = wilcoxon_rank_sum(groups_a[key], groups_b[key])
-        verdict = "tie"
-        if p < args.alpha and np.mean(groups_a[key]) != np.mean(groups_b[key]):
-            verdict = "a" if np.mean(groups_a[key]) < np.mean(groups_b[key]) else "b"
+    verdicts = _rank_sum_verdicts(_one_algo_gaps(args.a), _one_algo_gaps(args.b), args.alpha)
+    for key, (u, p, verdict) in verdicts.items():
         print(f"{key}: U={u:.1f} p={p:.4g} -> {verdict}")
+    cell = _tally(verdicts, args.alpha)
     print(f"win/lose/tie (a vs b, alpha={cell.alpha}): {cell.win}/{cell.lose}/{cell.tie}")
     return 0
 
 
 def _cmd_rank(args):
-    rows = []
-    for path in args.inputs:
-        rows.extend(_read_results_csv(path))
-    by_func = {}
-    for row in rows:
-        key = f"{row['problem']}_d{row['dim']}"
-        by_func.setdefault(key, {}).setdefault(row["algo"], []).append(row["best_gap"])
     table = {
-        func: {algo: float(np.mean(gaps)) for algo, gaps in algos.items()}
-        for func, algos in by_func.items()
+        func: {algo: float(np.mean(gaps)) for algo, gaps in by_algo.items()}
+        for func, by_algo in _read_gaps(args.inputs).items()
     }
     ranks = average_rank(table)
     for algo in sorted(ranks, key=lambda a: ranks[a]):
@@ -532,13 +525,15 @@ def _build_parser():
     p_run.add_argument("--dims", nargs="+", type=int, default=None)
     p_run.add_argument("--algos", nargs="+", metavar="ALGO", default=None)
     p_run.add_argument("--reps", type=int, default=None)
-    p_run.add_argument("--budget-mult", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--budget-mult", dest="budget_multiplier", type=int, default=None)
+    p_run.add_argument("--seed", dest="base_seed", type=int, default=None)
+    p_run.add_argument("--out", dest="out_dir", default=None)
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--eps", type=float, default=None)
     p_run.add_argument("--literal-psigma", action="store_true")
-    p_run.add_argument("--config", default=None, help="JSON config file; flags override")
+    p_run.add_argument(
+        "--config", default=None, help="JSON file with config.json's keys; flags override"
+    )
     p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="rank-sum comparison of two results files")

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,8 +321,8 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                 "dims": [2],
                 "algos": ["random-search"],
                 "reps": 1,
-                "budget_mult": 100,
-                "out": str(out),
+                "budget_multiplier": 100,
+                "out_dir": str(out),
             }
         )
     )
@@ -339,7 +343,7 @@ def test_cli_config_file_rejects_unknown_swarm_key(tmp_path, capsys):
                 "suite": ["sphere"],
                 "dims": [2],
                 "reps": 1,
-                "budget_mult": 100,
+                "budget_multiplier": 100,
                 "swarm": {"adjust_df": False},
             }
         )
@@ -350,11 +354,75 @@ def test_cli_config_file_rejects_unknown_swarm_key(tmp_path, capsys):
     assert not (tmp_path / "z").exists()
 
 
+def test_cli_rerun_from_config_json_is_byte_identical(tmp_path, capsys):
+    # a non-default seed, budget multiplier and eps, so a field read back
+    # under the wrong name or dropped would change the rerun's output
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["run", "--suite", "sphere", "rastrigin", "--dims", "2", "--algos", *ALGORITHMS]
+    argv += ["--reps", "2", "--budget-mult", "150", "--seed", "7", "--eps", "1e-5"]
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main(["run", "--config", str(first / "config.json"), "--out", str(second)]) == 0
+    for name in ("results.csv", "summary.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    names = sorted(p.name for p in (first / "traces").iterdir())
+    assert names == sorted(p.name for p in (second / "traces").iterdir())
+    assert len(names) == 2 * len(ALGORITHMS) * 2
+    for name in names:
+        assert (first / "traces" / name).read_bytes() == (
+            second / "traces" / name
+        ).read_bytes(), name
+    echo_first = json.loads((first / "config.json").read_text())
+    echo_second = json.loads((second / "config.json").read_text())
+    assert echo_first.pop("out_dir") == str(first)
+    assert echo_second.pop("out_dir") == str(second)
+    assert echo_first == echo_second
+
+
+@pytest.mark.parametrize("key", ["rep", "budget_mult", "seed", "out"])
+def test_cli_config_file_rejects_unknown_key(tmp_path, capsys, key):
+    # budget_mult, seed and out are the flags' names, not config.json's
+    cfg_path = tmp_path / "exp.json"
+    grid = {"suite": ["sphere"], "dims": [2], "algos": ["random-search"], "reps": 3}
+    cfg_path.write_text(json.dumps({**grid, key: str(tmp_path / "y") if key == "out" else 2}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("swarm", [{"seed": 9}, {"budget": 500}], ids=["seed", "budget"])
+def test_validate_rejects_per_run_swarm_fields(swarm):
+    # run_experiment sets both in every run, so another value would do nothing
+    with pytest.raises(ValueError, match=f"swarm.{next(iter(swarm))} must be"):
+        validate_experiment(ExperimentConfig(swarm=SwarmConfig(**swarm)))
+
+
+def test_cli_config_file_rejects_per_run_swarm_fields(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    grid = {"suite": ["sphere"], "dims": [2], "algos": ["random-search"], "reps": 3}
+    cfg_path.write_text(json.dumps({**grid, "swarm": {"budget": 500, "seed": 9}}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "swarm.seed must be 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_config_file_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"suite": ["sphere"], "swarm": [1]}'])
+def test_cli_config_file_rejects_non_object(tmp_path, capsys, text):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(text)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def _make_results(tmp_path, algo, label):
@@ -380,12 +448,38 @@ def test_cli_compare(tmp_path, capsys):
     assert "rastrigin_d2: U=" in stdout
     assert "sphere_d2: U=" in stdout
     assert "win/lose/tie (a vs b, alpha=0.05):" in stdout
+    # the tally counts the per-function verdicts it printed
+    lines = stdout.splitlines()
+    verdicts = [line.rsplit("-> ", 1)[1] for line in lines[:-1]]
+    counts = [verdicts.count(v) for v in ("a", "b", "tie")]
+    assert lines[-1] == "win/lose/tie (a vs b, alpha=0.05): {}/{}/{}".format(*counts)
 
 
 def test_cli_compare_missing_file(tmp_path, capsys):
     path_a = _make_results(tmp_path, "tfwa", "only")
     code = main(["compare", "--a", str(path_a), "--b", str(tmp_path / "missing.csv")])
     assert code == 2
+
+
+def test_cli_compare_rejects_two_algorithms(tmp_path, capsys):
+    # pooling two algorithms' gaps per function would test a mixture
+    path_a = _make_results(tmp_path, "tfwa", "a")
+    mixed = tmp_path / "mixed"
+    config = ExperimentConfig(
+        suite=("sphere", "rastrigin"),
+        dims=(2,),
+        algos=("uniform-fwa", "random-search"),
+        reps=3,
+        budget_multiplier=200,
+        out_dir=str(mixed),
+    )
+    run_experiment(config)
+    for a, b in ((path_a, mixed / "results.csv"), (mixed / "results.csv", path_a)):
+        code = main(["compare", "--a", str(a), "--b", str(b)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "holds more than one algorithm: random-search uniform-fwa" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_rank(tmp_path, capsys):
@@ -397,3 +491,17 @@ def test_cli_rank(tmp_path, capsys):
     assert "tfwa: average rank" in stdout
     assert "uniform-fwa: average rank" in stdout
     assert "over 2 functions" in stdout
+
+
+def test_python_m_harness_runs_without_runtime_warning():
+    # the package root does not import tfwa.harness, so runpy executes it once
+    src = str(Path(tfwa.harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tfwa.harness", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "tfwa-bench" in proc.stdout
