@@ -40,12 +40,6 @@ AMPLITUDE_INIT = 0.5
 AMPLITUDE_GROWTH = 1.2
 AMPLITUDE_DECAY = 0.9
 
-# A generation's uniform fireworks explode on a thread pool when the
-# dimension is at least this.  A uniform burst has no eigendecomposition, so
-# it is cheaper than a t explosion and pays for the hand-off to a thread only
-# at a higher dimension than swarm.THREAD_MIN_DIM.
-UNIFORM_THREAD_MIN_DIM = 72
-
 # Random search draws and evaluates whole generations at a time, at most this
 # many coordinates per block and at least one generation.
 BLOCK_COORDS = 2**16
@@ -121,7 +115,6 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
         fireworks,
         fresh=lambda fw: new(fw.rng),
         burst=burst,
-        threaded=problem.dim >= UNIFORM_THREAD_MIN_DIM,
     )
 
 

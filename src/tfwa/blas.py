@@ -4,8 +4,8 @@ numpy's wheels bundle OpenBLAS as ``libscipy_openblas64_``, which exports a
 setter and a getter for its thread count.  Every run sets one thread on entry
 and restores the previous count on exit, for two reasons: at d >= 100
 OpenBLAS gives different bits at different thread counts, which would make a
-run's result depend on the machine, and at large d the generation driver
-explodes fireworks on threads of its own.
+run's result depend on the machine, and where a burst is costly the
+generation driver explodes fireworks on threads of its own.
 
 The library is looked up on the first run, not at import.  Where it or its
 symbols are missing, :func:`threads` returns ``None`` and the pin does
@@ -66,11 +66,9 @@ def set_threads(count: int) -> None:
 def single_thread():
     """Run the body with one BLAS thread, then restore the previous count."""
     previous = threads()
-    if previous is None:
-        yield
-        return
     set_threads(1)
     try:
         yield
     finally:
-        set_threads(previous)
+        if previous is not None:
+            set_threads(previous)

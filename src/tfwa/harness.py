@@ -33,7 +33,7 @@ import numpy as np
 
 from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
 from .benchfns import PROBLEM_NAMES, make_problem
-from .swarm import SwarmConfig, _share_cores, run
+from .swarm import SwarmConfig, _require_int, _share_cores, run
 
 # Algorithm name -> name of its runner in this module.  ``_run_one`` looks the
 # runner up at call time, so a rebinding of the module attribute (a profiling
@@ -269,8 +269,6 @@ def _run_one(job):
     means a worker sends back one string instead of every trace record.
     """
     problem_args, algo, swarm_cfg, traced = job
-    if algo not in _RUNNERS:
-        raise ValueError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
     problem = make_problem(*problem_args)
     result = globals()[_RUNNERS[algo]](problem, swarm_cfg)
     return (
@@ -295,18 +293,18 @@ def validate_experiment(config: ExperimentConfig):
                 f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}"
             )
     for dim in config.dims:
+        _require_int("dims", dim)
         if dim < 2:
             raise ValueError(f"benchmark problems require dim >= 2, got {dim}")
     # a repeated entry would run each of its cells twice under the same seeds
     for label, values in (("suite", config.suite), ("dims", config.dims), ("algos", config.algos)):
         if len(set(values)) != len(values):
             raise ValueError(f"{label} lists an entry twice: {' '.join(map(str, values))}")
-    if config.reps < 1:
-        raise ValueError("reps must be at least 1")
-    if config.budget_multiplier < 1:
-        raise ValueError("budget multiplier must be at least 1")
-    if config.workers < 1:
-        raise ValueError("workers must be at least 1")
+    _require_int("base_seed", config.base_seed)
+    for name in ("reps", "budget_multiplier", "workers"):
+        _require_int(name, getattr(config, name))
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
     # run_experiment sets both per run, so any other value would do nothing
     if config.swarm.seed != 0:
         raise ValueError("swarm.seed must be 0: each run's seed is base_seed + rep")
@@ -382,9 +380,7 @@ def run_experiment(config: ExperimentConfig):
 def _summarise(rows):
     groups = {}
     for row in rows:
-        groups.setdefault((row["problem"], row["dim"], row["algo"]), []).append(
-            row["best_gap"]
-        )
+        groups.setdefault((row["problem"], row["dim"], row["algo"]), []).append(row["best_gap"])
     summary = []
     for (name, dim, algo), gaps in groups.items():
         arr = np.asarray(gaps, dtype=float)
@@ -414,17 +410,13 @@ def _write_outputs(config, rows, summary, traces):
         writer = csv.DictWriter(fh, fieldnames=sum_fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(summary)
-    echo = asdict(config)
-    echo["swarm"] = asdict(config.swarm)
     with open(out / "config.json", "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for row, trace in zip(rows, traces):
-        path = trace_dir / (
-            f"{row['problem']}_d{row['dim']}_{row['algo']}_rep{row['rep']}.jsonl"
-        )
+        path = trace_dir / f"{row['problem']}_d{row['dim']}_{row['algo']}_rep{row['rep']}.jsonl"
         with open(path, "w") as fh:
             fh.write(trace)
 

@@ -13,7 +13,7 @@ degree-of-freedom growth factor, so one can anneal to Gaussian sampling
 quickly while another keeps heavy tails for longer.
 
 Each firework draws from its own generator, spawned from the run's seed, so
-its explosions do not depend on one another: at large dimension a
+its explosions do not depend on one another: once a burst proves costly, a
 generation's fireworks explode on a thread pool, with the same results as
 exploding them in turn.
 """
@@ -21,9 +21,11 @@ exploding them in turn.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +41,12 @@ from .explosion import (
 )
 from .tdist import DF_CAP
 
-# A generation's t fireworks explode on a thread pool when the dimension is
-# at least this, and in turn below it.  Sampling, the eigendecomposition, the
-# matrix products and most objectives release the GIL, so at large d the
-# explosions overlap; at small d the hand-off to the pool costs more than an
-# explosion.
-THREAD_MIN_DIM = 40
+# A run's fireworks explode on a thread pool once the cheaper of its first two
+# generations took at least this many seconds per burst.  Sampling, the
+# eigendecomposition, the matrix products and most objectives release the
+# GIL, so costly bursts overlap, while a cheap one costs less than its
+# hand-off; 1 ms is near the measured crossover of t and uniform fireworks.
+THREAD_MIN_BURST_S = 1e-3
 
 
 @dataclass
@@ -117,6 +119,7 @@ def resolve_run_shape(problem, config: SwarmConfig):
     configuration against the problem.
     """
     n = config.n_fireworks
+    _require_int("n_fireworks", n)
     if n < 1:
         raise ValueError(f"need at least one firework, got {n}")
     if len(config.df_factors) != n:
@@ -134,15 +137,23 @@ def resolve_run_shape(problem, config: SwarmConfig):
     lam = config.sparks_per_firework
     if lam is None:
         lam = max(2, round(10 * problem.dim / n))
+    budget = config.budget if config.budget is not None else 10000 * problem.dim
+    _require_int("sparks_per_firework", lam)
+    _require_int("budget", budget)
     if lam < 2:
         raise ValueError(f"need at least two sparks per firework, got {lam}")
-    budget = config.budget if config.budget is not None else 10000 * problem.dim
     if budget < n * (lam + 1):
         raise ValueError(
             f"budget {budget} cannot cover initialisation plus one "
             f"generation ({n * (lam + 1)} evaluations)"
         )
     return n, int(lam), int(budget)
+
+
+def _require_int(name, value):
+    """Raise ValueError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _fresh_firework(cls, problem, rng, **fields):
@@ -247,7 +258,6 @@ def run(problem, config: SwarmConfig) -> RunResult:
         swarm.fireworks,
         fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
         burst=burst,
-        threaded=problem.dim >= THREAD_MIN_DIM,
     )
 
 
@@ -272,7 +282,7 @@ def _cores() -> int:
     return max(1, cores // _sharing)
 
 
-def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunResult:
+def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
     """Generation loop shared by every firework algorithm.
 
     The caller resolves the run shape (:func:`resolve_run_shape`): ``lam``
@@ -293,19 +303,20 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunR
     the tournament only runs after complete generations, so the total count
     stays within budget + n_fireworks.
 
-    The caller decides from the cost of ``burst`` whether a generation's
-    fireworks explode in turn or, when ``threaded``, on a pool of
-    ``min(n_fireworks, cores)`` threads, where cores is this process's
-    share of the cores it may run on (:func:`_cores`), so that ``burst``
-    and the objective may be called from several threads at once.  Either
-    way the outcomes are then handled in firework order: best-so-far
+    Threads: the first two generations explode in turn and are timed.  If
+    the cheaper of the two took at least :data:`THREAD_MIN_BURST_S` per
+    burst, the rest of the run explodes on a pool of ``min(n_fireworks,
+    cores)`` threads, where cores is this process's share of the cores it
+    may run on (:func:`_cores`), so that ``burst`` and the objective may be
+    called from several threads at once; otherwise it stays in turn.
+    Either way the outcomes are then handled in firework order: best-so-far
     tracking, restarts, the tournament and the trace rows, so both paths
     give the same result.
     """
     n = len(fireworks)
-    workers = min(n, _cores()) if threaded else 1
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    explode_all = map if pool is None else pool.map
+    workers = min(n, _cores())
+    explode_all = map
+    burst_s = math.inf  # the cheapest mean burst of the timed generations
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))
     evals = n
@@ -336,12 +347,18 @@ def _drive(problem, eps, lam, budget, fireworks, fresh, burst, threaded) -> RunR
     generations = 0
     g = 0
     full = True
-    with pool or nullcontext():
+    with ExitStack() as stack:
         while full:
             g += 1
+            if g == 3 and workers > 1 and burst_s >= THREAD_MIN_BURST_S:
+                explode_all = stack.enter_context(ThreadPoolExecutor(workers)).map
             restarted = set()
             k = min(n, max(0, (budget - evals) // lam))
-            for i, outcome in enumerate(list(explode_all(attempt, fireworks[:k]))):
+            start = time.perf_counter()
+            outcomes = list(explode_all(attempt, fireworks[:k]))
+            if g <= 2:
+                burst_s = min(burst_s, (time.perf_counter() - start) / max(k, 1))
+            for i, outcome in enumerate(outcomes):
                 if isinstance(outcome, DegenerateStateError):
                     if outcome.fitnesses is not None:
                         evals += lam

@@ -391,6 +391,38 @@ def test_cli_config_file_rejects_unknown_key(tmp_path, capsys, key):
     assert not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("budget_multiplier", 100.5),
+        ("dims", [2.5]),
+        ("reps", True),
+        ("workers", 1.5),
+        ("base_seed", 0.0),
+        ("swarm", {"n_fireworks": 2.0}),
+        ("swarm", {"sparks_per_firework": 10.5}),
+    ],
+    ids=["budget_multiplier", "dims", "reps", "workers", "base_seed", "n_fireworks", "sparks"],
+)
+def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value):
+    # JSON types its numbers itself: a float or a bool once ran, or failed
+    # with a message that named another key
+    cfg_path = tmp_path / "exp.json"
+    grid = {"suite": ["sphere"], "dims": [2], "algos": ["random-search"], "reps": 3}
+    cfg_path.write_text(json.dumps({**grid, key: value}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    name = next(iter(value)) if key == "swarm" else key
+    assert f"{name} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_validate_accepts_numpy_integers():
+    validate_experiment(
+        ExperimentConfig(dims=(np.int64(2),), reps=np.int32(3), budget_multiplier=np.int64(5))
+    )
+
+
 @pytest.mark.parametrize("swarm", [{"seed": 9}, {"budget": 500}], ids=["seed", "budget"])
 def test_validate_rejects_per_run_swarm_fields(swarm):
     # run_experiment sets both in every run, so another value would do nothing

@@ -18,7 +18,10 @@ from tfwa.natgrad import (
     moment_identity_residuals,
     natgrad_weight,
 )
-from tfwa.tdist import TDistribution
+from tfwa.tdist import DF_CAP, TDistribution
+
+# the Gaussian limit approached from below (df 1e8) and at the cap, where df freezes
+GAUSSIAN_LIMITS = (1.0e8, DF_CAP)
 
 
 def _seeded_spd(d, seed, jitter=0.5):
@@ -42,8 +45,9 @@ def test_closed_form_univariate():
 
 
 def test_closed_form_gaussian_limit_unit_scale():
-    blocks = fisher_closed_form(TDistribution([0.0], [[1.0]], 1.0e8))
-    assert abs(blocks.mean_block[0, 0] - 1.0) < 1e-6
+    for df in GAUSSIAN_LIMITS:
+        blocks = fisher_closed_form(TDistribution([0.0], [[1.0]], df))
+        assert abs(blocks.mean_block[0, 0] - 1.0) < 1e-6, df
 
 
 @given(
@@ -156,17 +160,18 @@ def test_covariance_gradient_gaussian_reduction():
     # points with s = dim make the heavy-tail factor drop out exactly
     d = 3
     scale = _seeded_spd(d, 21)
-    dist = TDistribution(np.zeros(d), scale, 1.0e8)
     chol = np.linalg.cholesky(scale)
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        e = rng.normal(size=d)
-        e /= np.linalg.norm(e)
-        x = chol @ e * np.sqrt(d)
-        assert dist.mahalanobis(x) == pytest.approx(d, rel=1e-12)
-        grad = covariance_natural_gradient(dist, x)
-        target = np.outer(x, x) - scale
-        assert np.linalg.norm(grad - target) <= 1e-6 * max(1.0, np.linalg.norm(target))
+    for df in GAUSSIAN_LIMITS:
+        dist = TDistribution(np.zeros(d), scale, df)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            e = rng.normal(size=d)
+            e /= np.linalg.norm(e)
+            x = chol @ e * np.sqrt(d)
+            assert dist.mahalanobis(x) == pytest.approx(d, rel=1e-12)
+            grad = covariance_natural_gradient(dist, x)
+            target = np.outer(x, x) - scale
+            assert np.linalg.norm(grad - target) <= 1e-6 * max(1.0, np.linalg.norm(target)), df
 
 
 def test_moment_identities_isotropic():

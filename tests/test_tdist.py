@@ -59,6 +59,9 @@ def test_non_finite_scale_rejected():
 # frozen reference values: ln(1/pi), ln(1/sqrt(2 pi)), ln(1/(2 pi))
 CAUCHY_AT_ZERO = -1.1447298858494002
 GAUSS_AT_ZERO = -0.9189385332046727
+
+# the Gaussian limit approached from below (df 1e8) and at the cap, where df freezes
+GAUSSIAN_LIMITS = (1.0e8, DF_CAP)
 BIVARIATE_DF2_AT_ZERO = -1.8378770664093453
 
 
@@ -68,8 +71,9 @@ def test_log_density_cauchy_at_zero():
 
 
 def test_log_density_gaussian_limit_at_zero():
-    dist = TDistribution([0.0], [[1.0]], 1.0e8)
-    assert math.isclose(dist.log_density([0.0]), GAUSS_AT_ZERO, abs_tol=1e-6)
+    for df in GAUSSIAN_LIMITS:
+        dist = TDistribution([0.0], [[1.0]], df)
+        assert math.isclose(dist.log_density([0.0]), GAUSS_AT_ZERO, abs_tol=1e-6), df
 
 
 def test_log_density_bivariate_df2_at_zero():
@@ -215,10 +219,11 @@ def test_sample_covariance_df5():
 
 
 def test_sample_gaussian_limit_ks():
-    dist = TDistribution([0.0, 0.0, 0.0], np.eye(3), 1.0e8)
-    x = dist.sample(10_000, np.random.default_rng(0))
-    for j in range(3):
-        assert st.kstest(x[:, j], "norm").pvalue > 0.01
+    for df in GAUSSIAN_LIMITS:
+        dist = TDistribution([0.0, 0.0, 0.0], np.eye(3), df)
+        x = dist.sample(10_000, np.random.default_rng(0))
+        for j in range(3):
+            assert st.kstest(x[:, j], "norm").pvalue > 0.01, df
 
 
 def test_sample_cauchy_tail_frequency():
@@ -232,10 +237,11 @@ def test_sample_cauchy_tail_frequency():
 def test_tail_ordering_heavy_vs_light():
     n = 10_000_000
     heavy = TDistribution([0.0], [[1.0]], 1.0).sample(n, np.random.default_rng(3))
-    light = TDistribution([0.0], [[1.0]], 1.0e8).sample(n, np.random.default_rng(4))
     p_heavy = np.mean(np.abs(heavy) > 5.0)
-    p_light = max(np.mean(np.abs(light) > 5.0), 1.0 / n)
-    assert p_heavy / p_light > 1e4
+    for df in GAUSSIAN_LIMITS:
+        light = TDistribution([0.0], [[1.0]], df).sample(n, np.random.default_rng(4))
+        p_light = max(np.mean(np.abs(light) > 5.0), 1.0 / n)
+        assert p_heavy / p_light > 1e4, df
 
 
 def test_gaussian_shortcut_agrees_with_compound():

@@ -1,24 +1,26 @@
 """Explosions on threads, per-firework generators and the per-run BLAS pin.
 
-From ``swarm.THREAD_MIN_DIM`` on (``baselines.UNIFORM_THREAD_MIN_DIM`` for
-the uniform fireworks), a generation's fireworks explode on a thread pool.
-Each firework draws from its own generator and the driver handles the
-outcomes in firework order, so the threaded and the in-turn path must give
-the same run, bit for bit.  Every run holds BLAS at one thread, which also
-makes a d=100 run independent of the thread count the process started with.
+A run times its first two generations, which explode in turn; when the
+cheaper of them took at least ``swarm.THREAD_MIN_BURST_S`` per burst, the
+rest of its generations explode on a thread pool.  Each firework draws from
+its own generator and the driver handles the outcomes in firework order, so
+the threaded and the in-turn path must give the same run, bit for bit.
+Every run holds BLAS at one thread, which also makes a d=100 run independent
+of the thread count the process started with.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import tfwa.baselines as baselines_mod
 import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
 from tfwa import blas
@@ -32,8 +34,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 DIM = 48  # above the crossover
 LAM = 240  # the default sparks per firework at DIM with two fireworks
+TIMED = 2  # generations a run explodes in turn to time its bursts
 
-IN_TURN, THREADED = 10**9, 0  # threshold dimensions that force each path
+IN_TURN, THREADED = math.inf, 0.0  # burst-cost thresholds that force each path
 
 needs_blas = pytest.mark.skipif(blas.threads() is None, reason="no bundled OpenBLAS")
 
@@ -47,7 +50,7 @@ class _Problem:
         self.f_star = problem.f_star
         self.fail = fail
         self.points = []  # every single point evaluated, in order
-        self.threads = set()  # threads that evaluated a batch
+        self.batch_threads = []  # the thread that evaluated each batch, in order
         self.blas_threads = set()  # BLAS thread counts seen by any evaluation
 
     def evaluate(self, x):
@@ -58,15 +61,42 @@ class _Problem:
     def evaluate_batch(self, xs):
         if self.fail:
             raise RuntimeError("objective failed")
-        self.threads.add(threading.get_ident())
+        self.batch_threads.append(threading.get_ident())
         self.blas_threads.add(blas.threads())
         return self.problem.evaluate_batch(xs)
 
+    @property
+    def threads(self):
+        """Threads that evaluated a batch."""
+        return set(self.batch_threads)
 
-def _force(monkeypatch, min_dim, cores=2):
-    """Send every algorithm down one path, on a pool of up to ``cores`` threads."""
-    monkeypatch.setattr(swarm_mod, "THREAD_MIN_DIM", min_dim)
-    monkeypatch.setattr(baselines_mod, "UNIFORM_THREAD_MIN_DIM", min_dim)
+    def pooled_after_timing(self, n_fireworks):
+        """Whether the timed generations' batches ran on the calling thread
+        and every later one on the pool."""
+        timed = TIMED * n_fireworks
+        caller = threading.get_ident()
+        return (
+            self.batch_threads[:timed] == [caller] * timed
+            and len(self.batch_threads) > timed
+            and caller not in self.batch_threads[timed:]
+        )
+
+
+class _SlowProblem(_Problem):
+    """A sphere whose batches take 2 ms of sleep, which releases the GIL."""
+
+    def __init__(self, dim):
+        super().__init__(make_problem("sphere", dim, seed=0))
+
+    def evaluate_batch(self, xs):
+        time.sleep(2e-3)
+        return super().evaluate_batch(xs)
+
+
+def _force(monkeypatch, min_burst_s, cores=2):
+    """Send every algorithm down one path after its timed generations, on a
+    pool of up to ``cores`` threads."""
+    monkeypatch.setattr(swarm_mod, "THREAD_MIN_BURST_S", min_burst_s)
     monkeypatch.setattr(swarm_mod, "_cores", lambda: cores)
 
 
@@ -91,14 +121,14 @@ def test_threaded_matches_in_turn(monkeypatch, runner, tail):
     # so a tail of LAM + 17 leaves room for the first firework of a ninth
     config = SwarmConfig(seed=3, budget=2 + 8 * 2 * LAM + tail)
     results, problems = [], []
-    for min_dim in (IN_TURN, THREADED):
-        _force(monkeypatch, min_dim)
+    for min_burst_s in (IN_TURN, THREADED):
+        _force(monkeypatch, min_burst_s)
         problems.append(_Problem(make_problem("rastrigin", DIM, seed=0)))
         results.append(runner(problems[-1], config))
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert problems[0].threads == {threading.get_ident()}
-    assert threading.get_ident() not in problems[1].threads
+    assert problems[1].pooled_after_timing(config.n_fireworks)
     if tail:
         assert [(r.gen, r.fw) for r in in_turn.trace[-2:]] == [(8, 1), (9, 0)]
 
@@ -119,8 +149,8 @@ def test_threaded_matches_in_turn_under_stress(monkeypatch):
     results = []
     try:
         sys.setswitchinterval(1e-5)
-        for min_dim in (IN_TURN, THREADED):
-            _force(monkeypatch, min_dim, cores=6)
+        for min_burst_s in (IN_TURN, THREADED):
+            _force(monkeypatch, min_burst_s, cores=6)
             results.append(run(make_problem("rastrigin", DIM, seed=1), config))
     finally:
         sys.setswitchinterval(interval)
@@ -146,10 +176,10 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
 
     config = SwarmConfig(seed=5, budget=2 + 9 * 2 * LAM + LAM)
     results, seen = [], []
-    for min_dim in (IN_TURN, THREADED):
+    for min_burst_s in (IN_TURN, THREADED):
         events = []
         monkeypatch.setattr(swarm_mod, "explode", explode)
-        _force(monkeypatch, min_dim)
+        _force(monkeypatch, min_burst_s)
         results.append(run(make_problem("rastrigin", DIM, seed=0), config))
         seen.append(sorted(events))
     in_turn, threaded = results
@@ -160,18 +190,24 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
     assert in_turn.evals_used <= config.budget + config.n_fireworks
 
 
-def test_each_algorithm_takes_its_own_path(monkeypatch):
-    # between the two thresholds a t explosion is worth a thread and a
-    # uniform burst is not
-    assert swarm_mod.THREAD_MIN_DIM <= DIM < baselines_mod.UNIFORM_THREAD_MIN_DIM
+def test_burst_cost_picks_the_path(monkeypatch):
+    # at the default threshold a cheap burst stays in turn, and a costly one
+    # goes to the pool even at d=2, where it gives the in-turn run's bits
     monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
-    config = SwarmConfig(seed=0, budget=2 + 2 * 2 * LAM)
-    threads = {}
-    for runner in (run, gaussian_limit_run, uniform_fwa_run):
-        problem = _Problem(make_problem("rastrigin", DIM, seed=0))
-        runner(problem, config)
-        threads[runner.__name__] = threading.get_ident() in problem.threads
-    assert threads == {"run": False, "gaussian_limit_run": False, "uniform_fwa_run": True}
+    cheap_config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 50)
+    slow_config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 10)
+    for runner in (run, uniform_fwa_run):
+        cheap = _Problem(make_problem("sphere", 10, seed=0))
+        runner(cheap, cheap_config)
+        assert cheap.threads == {threading.get_ident()}, runner.__name__
+
+        slow = _SlowProblem(2)
+        threaded = runner(slow, slow_config)
+        assert slow.pooled_after_timing(slow_config.n_fireworks), runner.__name__
+        with monkeypatch.context() as m:
+            m.setattr(swarm_mod, "THREAD_MIN_BURST_S", IN_TURN)
+            in_turn = runner(_SlowProblem(2), slow_config)
+        assert _as_tuple(threaded) == _as_tuple(in_turn), runner.__name__
 
 
 def test_one_core_explodes_in_turn(monkeypatch):
