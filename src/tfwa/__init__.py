@@ -11,7 +11,14 @@ harness (grids, rank-sum statistics, the ``tfwa-bench`` CLI) lives in
 tfwa.harness`` runs it only once.
 """
 
-from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+from .baselines import (
+    gaussian_limit_cell,
+    gaussian_limit_run,
+    random_search_cell,
+    random_search_run,
+    uniform_fwa_cell,
+    uniform_fwa_run,
+)
 from .benchfns import PROBLEM_NAMES, BenchmarkProblem, make_problem
 from .explosion import (
     DegenerateStateError,
@@ -43,6 +50,7 @@ from .swarm import (
     loser_out_check,
     restart_firework,
     run,
+    run_cell,
 )
 from .tdist import DF_CAP, TDistribution
 
@@ -69,17 +77,21 @@ __all__ = [
     "fisher_monte_carlo",
     "fisher_scale_block",
     "fuse_weights",
+    "gaussian_limit_cell",
     "gaussian_limit_run",
     "init_swarm",
     "loser_out_check",
     "make_problem",
     "moment_identity_residuals",
     "natgrad_weight",
+    "random_search_cell",
     "random_search_run",
     "rank_weights",
     "regularize_covariance",
     "repair_bounds",
     "restart_firework",
     "run",
+    "run_cell",
+    "uniform_fwa_cell",
     "uniform_fwa_run",
 ]

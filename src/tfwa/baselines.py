@@ -9,8 +9,11 @@
   the adapted t sampler.
 * ``random_search_run``: uniform sampling over the whole box.
 
-Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the
-objective, and uses ``evaluate_batch`` when it has one.
+Each has a cell entry point (``gaussian_limit_cell``, ``uniform_fwa_cell``,
+``random_search_cell``) that takes a problem and the configs of a grid
+cell's repetitions and returns one result per config, equal to the run's on
+its own.  Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate``
+from the objective, and uses ``evaluate_batch`` when it has one.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .swarm import (
     RunResult,
     SwarmConfig,
     TraceRecord,
+    _cell_shape,
     _drive,
     _fresh_firework,
     resolve_run_shape,
     run,
+    run_cell,
 )
 from .tdist import DF_CAP
 
@@ -50,6 +55,12 @@ def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
     return run(problem, replace(config, df_init=DF_CAP))
 
 
+def gaussian_limit_cell(problem, configs) -> list:
+    """One :func:`gaussian_limit_run` result per config, from one
+    generation loop (:func:`tfwa.swarm.run_cell`)."""
+    return run_cell(problem, [replace(c, df_init=DF_CAP) for c in configs])
+
+
 @dataclass
 class _UniformFirework:
     """Uniform-explosion firework; ``scale`` is the hypercube half-width and
@@ -66,14 +77,19 @@ class _UniformFirework:
     rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
 
-def uniform_sparks(mean, amplitude, lam, lb, ub, rng):
-    """Sample ``lam`` sparks uniformly in [mean - A, mean + A] clipped to bounds."""
-    span = rng.uniform(-amplitude, amplitude, size=(lam, mean.shape[0]))
+def uniform_sparks(means, amplitudes, lam, lb, ub, rngs):
+    """Sample ``lam`` sparks per firework as one (m, lam, d) block.
+
+    Firework ``j``'s sparks are drawn from ``rngs[j]``, uniformly in
+    [means[j] - A, means[j] + A] with ``A = amplitudes[j]``, then clipped to
+    the bounds.
+    """
+    d = means.shape[1]
+    span = np.stack([rng.uniform(-a, a, size=(lam, d)) for a, rng in zip(amplitudes, rngs)])
     # np.clip's definition, without its wrapper's per-call cost
-    return np.minimum(np.maximum(mean + span, lb), ub)
+    return np.minimum(np.maximum(means[:, None, :] + span, lb), ub)
 
 
-@blas.single_thread()
 def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform-explosion fireworks with dynamic amplitude and loser-out restarts.
 
@@ -84,35 +100,57 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     the swarm run's, and so are the per-firework generators: one seed starts
     the uniform fireworks at the t fireworks' means.
     """
-    n, lam, budget = resolve_run_shape(problem, config)
+    return uniform_fwa_cell(problem, [config])[0]
+
+
+@blas.single_thread()
+def uniform_fwa_cell(problem, configs) -> list:
+    """One :func:`uniform_fwa_run` result per config, from one generation loop.
+
+    The configs may differ only in their seeds.  A burst samples all its
+    fireworks' sparks into one block and evaluates them in one call; each
+    firework still draws from its own generator, and the objective
+    evaluates each point on its own, so every result equals the run's on
+    its own bit for bit.
+    """
+    n, lam, budget = _cell_shape(problem, configs)
     box = float(problem.ub - problem.lb)
 
     def new(rng):
         return _fresh_firework(_UniformFirework, problem, rng, scale=AMPLITUDE_INIT * box)
 
-    def burst(fw):
-        sparks = uniform_sparks(fw.mean, fw.scale, lam, problem.lb, problem.ub, fw.rng)
-        fits = _evaluate_all(problem, sparks)
-        k = int(fits.argmin())
-        gen_best = float(fits[k])
-        fw.gen_improvement = fw.last_gen_best - gen_best
-        # The firework only ever moves to an improving spark, so its current
-        # fitness is also its all-time best.
-        if gen_best < fw.last_gen_best:
-            fw.mean, fw.best_position = sparks[k].copy(), sparks[k].copy()
-            fw.last_gen_best = fw.best_fitness = gen_best
-            fw.scale = min(fw.scale * AMPLITUDE_GROWTH, box)
-        else:
-            fw.scale *= AMPLITUDE_DECAY
-        return sparks[k], gen_best
+    def burst(fws):
+        sparks = uniform_sparks(
+            np.array([fw.mean for fw in fws]),
+            [fw.scale for fw in fws],
+            lam,
+            problem.lb,
+            problem.ub,
+            [fw.rng for fw in fws],
+        )
+        fits = _evaluate_all(problem, sparks.reshape(-1, problem.dim)).reshape(len(fws), lam)
+        picks = fits.argmin(axis=1)
+        rows = np.arange(len(fws))
+        outcomes = list(zip(sparks[rows, picks], fits[rows, picks].tolist()))
+        for fw, (x, gen_best) in zip(fws, outcomes):
+            fw.gen_improvement = fw.last_gen_best - gen_best
+            # The firework only ever moves to an improving spark, so its
+            # current fitness is also its all-time best.
+            if gen_best < fw.last_gen_best:
+                fw.mean, fw.best_position = x, x.copy()
+                fw.last_gen_best = fw.best_fitness = gen_best
+                fw.scale = min(fw.scale * AMPLITUDE_GROWTH, box)
+            else:
+                fw.scale *= AMPLITUDE_DECAY
+        return outcomes
 
-    fireworks = [new(rng) for rng in np.random.default_rng(config.seed).spawn(n)]
+    swarms = [[new(rng) for rng in np.random.default_rng(c.seed).spawn(n)] for c in configs]
     return _drive(
         problem,
-        config.eps,
+        configs[0].eps,
         lam,
         budget,
-        fireworks,
+        swarms,
         fresh=lambda fw: new(fw.rng),
         burst=burst,
     )
@@ -169,3 +207,12 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
         generations=g,
         trace=trace,
     )
+
+
+def random_search_cell(problem, configs) -> list:
+    """One :func:`random_search_run` result per config.
+
+    Each run keeps its own loop: its block sampling already spreads the
+    per-call cost over many generations.
+    """
+    return [random_search_run(problem, c) for c in configs]

@@ -12,6 +12,12 @@ seeded runs and writes four artifacts into the output directory:
   generation per firework: ``gen,fw,gap,df,scale,restart``, serialised by
   :func:`_trace_jsonl` in the process that ran it
 
+A job is one cell of the grid (one problem, dimension and algorithm) and
+its repetitions, run through one generation loop by the algorithm's cell
+runner.  When there are fewer cells than workers, each cell is split into
+``ceil(workers / cells)`` contiguous chunks of repetitions, so that no
+worker sits idle; the rows are reassembled in grid order.
+
 ``compare`` applies the rank-sum test per function between two results
 files of one algorithm each; ``rank`` averages per-function ranks of mean gaps across any number
 of results files.
@@ -28,21 +34,23 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+from .baselines import gaussian_limit_cell, random_search_cell, uniform_fwa_cell
 from .benchfns import PROBLEM_NAMES, make_problem
-from .swarm import SwarmConfig, _require_int, _share_cores, run
+from .swarm import SwarmConfig, _chunks, _require_int, _share_cores, resolve_run_shape, run_cell
 
-# Algorithm name -> name of its runner in this module.  ``_run_one`` looks the
-# runner up at call time, so a rebinding of the module attribute (a profiling
-# wrapper, say) sees every run.
+# Algorithm name -> name of its cell runner in this module, which takes a
+# problem and a list of configs and returns one result per config.
+# ``_run_cells`` looks the runner up at call time, so a rebinding of the module
+# attribute (a profiling wrapper, say) sees every run.
 _RUNNERS = {
-    "tfwa": "run",
-    "gaussian-limit": "gaussian_limit_run",
-    "uniform-fwa": "uniform_fwa_run",
-    "random-search": "random_search_run",
+    "tfwa": "run_cell",
+    "gaussian-limit": "gaussian_limit_cell",
+    "uniform-fwa": "uniform_fwa_cell",
+    "random-search": "random_search_cell",
 }
 ALGORITHMS = tuple(_RUNNERS)
 
@@ -260,28 +268,35 @@ def _trace_jsonl(trace) -> str:
     )
 
 
-def _run_one(job):
-    """Run one grid cell; returns ``(best_gap, evals, generations, restarts,
-    trace_text)``.
+def _run_cells(job):
+    """Run one job, a contiguous chunk of one cell's repetitions; returns one
+    ``(best_gap, evals, generations, restarts, trace_text)`` per run.
 
     ``trace_text`` is the run's trace as JSONL, or ``None`` when the job
     writes no trace.  Serialising here, in the process that ran the job,
-    means a worker sends back one string instead of every trace record.
+    means a worker sends back one string per run instead of every trace
+    record.
     """
-    problem_args, algo, swarm_cfg, traced = job
+    problem_args, algo, configs, traced = job
     problem = make_problem(*problem_args)
-    result = globals()[_RUNNERS[algo]](problem, swarm_cfg)
-    return (
-        result.best_fitness - problem.f_star,
-        result.evals_used,
-        result.generations,
-        result.restarts,
-        _trace_jsonl(result.trace) if traced else None,
-    )
+    results = globals()[_RUNNERS[algo]](problem, configs)
+    return [
+        (
+            result.best_fitness - problem.f_star,
+            result.evals_used,
+            result.generations,
+            result.restarts,
+            _trace_jsonl(result.trace) if traced else None,
+        )
+        for result in results
+    ]
 
 
 def validate_experiment(config: ExperimentConfig):
     """Raise ValueError on unknown names or malformed grids before any run."""
+    for label in ("suite", "dims", "algos"):
+        if not getattr(config, label):
+            raise ValueError(f"{label} is empty, so the grid has no runs")
     for name in config.suite:
         if name not in PROBLEM_NAMES:
             raise ValueError(
@@ -310,6 +325,19 @@ def validate_experiment(config: ExperimentConfig):
         raise ValueError("swarm.seed must be 0: each run's seed is base_seed + rep")
     if config.swarm.budget is not None:
         raise ValueError("swarm.budget must be null: each run's budget is budget_multiplier * dim")
+    # the run shape depends on the dimension alone
+    for dim in config.dims:
+        try:
+            resolve_run_shape(SimpleNamespace(dim=dim), _run_config(config, dim, 0))
+        except ValueError as exc:
+            raise ValueError(f"at dim {dim}: {exc}") from None
+
+
+def _run_config(config: ExperimentConfig, dim, rep) -> SwarmConfig:
+    """The swarm config of repetition ``rep`` at dimension ``dim``."""
+    return replace(
+        config.swarm, seed=config.base_seed + rep, budget=config.budget_multiplier * dim
+    )
 
 
 def run_experiment(config: ExperimentConfig):
@@ -318,9 +346,11 @@ def run_experiment(config: ExperimentConfig):
     Result rows are dicts following ``RESULT_FIELDS``, ordered by
     (problem, dim, algo, rep) with suite/dims/algos kept in the configured
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
-    ``summary.csv``, ``config.json`` and per-run trace JSONL files.  Each
-    run's trace is serialised in the process that ran it, a worker when
-    ``config.workers > 1`` and there is more than one run; a worker's runs
+    ``summary.csv``, ``config.json`` and per-run trace JSONL files.  A job
+    is a contiguous chunk of one cell's repetitions (see the module
+    docstring).  Each run's trace is serialised in the process that ran
+    it, a worker when ``config.workers > 1`` and there is more than one
+    job; a worker's runs
     explode fireworks on threads only from its share of the cores
     (``swarm._cores``).  A trace line spells floats as ``float.__repr__``
     does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
@@ -330,17 +360,17 @@ def run_experiment(config: ExperimentConfig):
     """
     validate_experiment(config)
     traced = config.out_dir is not None
+    cells = [
+        (name, dim, algo) for name in config.suite for dim in config.dims for algo in config.algos
+    ]
+    # a job is one cell, or a chunk of one when there are fewer cells than
+    # workers, so that no worker sits idle
+    parts = 1 if len(cells) >= config.workers else -(-config.workers // len(cells))
     jobs = []
-    for name in config.suite:
-        for dim in config.dims:
-            for algo in config.algos:
-                for rep in range(config.reps):
-                    cfg = replace(
-                        config.swarm,
-                        seed=config.base_seed + rep,
-                        budget=config.budget_multiplier * dim,
-                    )
-                    jobs.append(((name, dim, config.base_seed), algo, cfg, traced))
+    for name, dim, algo in cells:
+        configs = [_run_config(config, dim, rep) for rep in range(config.reps)]
+        for chunk in _chunks(configs, parts):
+            jobs.append(((name, dim, config.base_seed), algo, chunk, traced))
 
     processes = min(config.workers, len(jobs))
     if processes > 1:
@@ -348,28 +378,29 @@ def run_experiment(config: ExperimentConfig):
         # threads only where its worker has cores to spare
         pool = ProcessPoolExecutor(processes, initializer=_share_cores, initargs=(processes,))
         with pool:
-            outcomes = list(pool.map(_run_one, jobs, chunksize=1))
+            outcomes = list(pool.map(_run_cells, jobs, chunksize=1))
     else:
-        outcomes = [_run_one(job) for job in jobs]
+        outcomes = [_run_cells(job) for job in jobs]
 
     rows = []
     traces = []
-    for job, (best_gap, evals, generations, restarts, trace) in zip(jobs, outcomes):
-        (name, dim, _), algo, cfg, _ = job
-        rows.append(
-            {
-                "problem": name,
-                "dim": dim,
-                "algo": algo,
-                "rep": cfg.seed - config.base_seed,
-                "seed": cfg.seed,
-                "best_gap": best_gap,
-                "evals": evals,
-                "generations": generations,
-                "restarts": restarts,
-            }
-        )
-        traces.append(trace)
+    for job, job_outcomes in zip(jobs, outcomes):
+        (name, dim, _), algo, configs, _ = job
+        for cfg, (best_gap, evals, generations, restarts, trace) in zip(configs, job_outcomes):
+            rows.append(
+                {
+                    "problem": name,
+                    "dim": dim,
+                    "algo": algo,
+                    "rep": cfg.seed - config.base_seed,
+                    "seed": cfg.seed,
+                    "best_gap": best_gap,
+                    "evals": evals,
+                    "generations": generations,
+                    "restarts": restarts,
+                }
+            )
+            traces.append(trace)
 
     summary = _summarise(rows)
     if config.out_dir is not None:

@@ -7,15 +7,17 @@ generations, cannot close the gap between its own all-time best and the
 best current firework fitness, it is thrown out and restarted from a fresh
 uniform position.  The driver owns the budget, the tournament, best-so-far
 tracking and the trace; an algorithm supplies only how to make a fresh
-firework and how to explode one, so the t firework here and the baselines
-share the same accounting.  Each t firework carries its own
+firework and how to explode a list of them, so the t firework here and the
+baselines share the same accounting.  Each t firework carries its own
 degree-of-freedom growth factor, so one can anneal to Gaussian sampling
 quickly while another keeps heavy tails for longer.
 
 Each firework draws from its own generator, spawned from the run's seed, so
-its explosions do not depend on one another: once a burst proves costly, a
-generation's fireworks explode on a thread pool, with the same results as
-exploding them in turn.
+its explosions do not depend on one another.  The driver therefore takes the
+repetitions of one grid cell through one generation loop (:func:`run_cell`),
+each run keeping its own budget, tournament and trace, and once a burst
+proves costly a generation's fireworks explode in chunks on a thread pool,
+with the same results as exploding them in turn and one run at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -238,27 +240,55 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
 
 
 @blas.single_thread()
+def run_cell(problem, configs) -> list:
+    """One :func:`run` result per config in ``configs``, from one generation loop.
+
+    The configs may differ only in their seeds.  The runs' fireworks explode
+    side by side in :func:`_drive`, and each result equals ``run(problem,
+    config)`` bit for bit.
+    """
+    _, lam, budget = _cell_shape(problem, configs)
+    config = configs[0]
+    swarms = [init_swarm(problem, c, np.random.default_rng(c.seed)) for c in configs]
+    params = swarms[0].params
+
+    def attempt(fw):
+        try:
+            xs, fits = explode(fw, params, problem, fw.rng)
+        except DegenerateStateError as exc:
+            return exc
+        return xs[0], fits[0]
+
+    return _drive(
+        problem,
+        config.eps,
+        lam,
+        budget,
+        [swarm.fireworks for swarm in swarms],
+        fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
+        burst=lambda fws: list(map(attempt, fws)),
+    )
+
+
 def run(problem, config: SwarmConfig) -> RunResult:
     """Full optimisation run on ``problem`` under ``config``.
 
     Deterministic given ``config.seed``.  Budget accounting, restarts and
     the trace follow :func:`_drive`.
     """
-    swarm = init_swarm(problem, config, np.random.default_rng(config.seed))
+    return run_cell(problem, [config])[0]
 
-    def burst(fw):
-        xs, fits = explode(fw, swarm.params, problem, fw.rng)
-        return xs[0], fits[0]
 
-    return _drive(
-        problem,
-        config.eps,
-        swarm.params.lam,
-        swarm.budget,
-        swarm.fireworks,
-        fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
-        burst=burst,
-    )
+def _cell_shape(problem, configs):
+    """The run shape (:func:`resolve_run_shape`) of a cell's configs, which
+    may differ only in their seeds."""
+    if not configs:
+        raise ValueError("a cell needs at least one config")
+    first = configs[0]
+    shape = resolve_run_shape(problem, first)
+    if any(replace(c, seed=first.seed) != first for c in configs):
+        raise ValueError("the configs of a cell may differ only in their seeds")
+    return shape
 
 
 # The number of processes that share this process's cores.  A grid's worker
@@ -282,123 +312,159 @@ def _cores() -> int:
     return max(1, cores // _sharing)
 
 
-def _drive(problem, eps, lam, budget, fireworks, fresh, burst) -> RunResult:
-    """Generation loop shared by every firework algorithm.
+def _chunks(items, parts):
+    """``items`` cut into ``min(parts, len(items))`` contiguous chunks whose
+    sizes differ by at most one."""
+    parts = min(parts, len(items))
+    size, extra = divmod(len(items), parts)
+    cuts = [i * size + min(i, extra) for i in range(parts + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    The caller resolves the run shape (:func:`resolve_run_shape`): ``lam``
-    sparks per explosion, ``budget`` evaluations in all, tournament
-    threshold ``eps``.  ``fireworks`` holds the initial fireworks, one
-    evaluation each.  Every generation explodes fireworks with
-    ``burst(fw)``, which updates ``fw`` in place, drawing only from the
-    firework's own generator, and returns the generation's best spark and
-    its fitness.  A firework whose explosion raises
-    :class:`DegenerateStateError` is replaced by ``fresh(fw)`` (a new
-    firework, one evaluation); after a complete generation the loser-out
-    tournament replaces its losers the same way.
 
-    Budget: the evaluation count at the start of a generation decides how
-    many fireworks explode, the leading ones whose ``lam`` sparks each still
-    fit within the budget.  A generation in which fewer than all explode is
-    the last.  Restarts come after the explosions, one evaluation each, and
-    the tournament only runs after complete generations, so the total count
-    stays within budget + n_fireworks.
+class _Run:
+    """One run's share of :func:`_drive`: its fireworks, evaluation count,
+    best-so-far point, trace, and the number ``k`` of its fireworks that
+    explode in the current generation."""
+
+    def __init__(self, fireworks):
+        self.fireworks = fireworks
+        self.evals = len(fireworks)
+        self.best_f, self.best_x = math.inf, None
+        self.trace = []
+        self.generations = 0
+        self.k = 0
+        self.restarted = set()
+        for fw in fireworks:
+            self.track(fw.best_fitness, fw.best_position)
+
+    def track(self, f, x):
+        if f < self.best_f:
+            self.best_f, self.best_x = float(f), x.copy()
+
+    def restart(self, i, fresh):
+        fw = self.fireworks[i] = fresh(self.fireworks[i])
+        self.evals += 1
+        self.track(fw.best_fitness, fw.best_position)
+        self.restarted.add(i)
+
+    def result(self) -> RunResult:
+        return RunResult(
+            best_position=self.best_x,
+            best_fitness=self.best_f,
+            evals_used=self.evals,
+            generations=self.generations,
+            trace=self.trace,
+        )
+
+
+def _drive(problem, eps, lam, budget, swarms, fresh, burst) -> list:
+    """Generation loop shared by every firework algorithm; one
+    :class:`RunResult` per run.
+
+    ``swarms`` holds the initial fireworks of each of R runs of one cell,
+    the same number in each and one evaluation apiece.  The caller resolves
+    the run shape (:func:`resolve_run_shape`) that the runs share: ``lam``
+    sparks per explosion, ``budget`` evaluations per run, tournament
+    threshold ``eps``.  Every generation explodes the runs' fireworks with
+    ``burst(fws)``, which takes a list of fireworks, from any runs, and
+    returns one outcome per firework in order: the generation's best spark
+    and its fitness, or the :class:`DegenerateStateError` the explosion
+    raised.  A burst updates each firework in place and draws only from
+    that firework's own generator.  A firework whose explosion failed is
+    replaced by ``fresh(fw)`` (a new firework, one evaluation); after a
+    complete generation the loser-out tournament replaces its losers the
+    same way.
+
+    Budget: each run counts its own evaluations against ``budget``.  Its
+    count at the start of a generation decides how many of its fireworks
+    explode, the leading ones whose ``lam`` sparks each still fit within
+    the budget.  A generation in which fewer than all explode is the run's
+    last; the other runs go on.  Restarts come after the explosions, one
+    evaluation each, and the tournament only runs after complete
+    generations, so a run's total count stays within budget + n_fireworks.
 
     Threads: the first two generations explode in turn and are timed.  If
     the cheaper of the two took at least :data:`THREAD_MIN_BURST_S` per
-    burst, the rest of the run explodes on a pool of ``min(n_fireworks,
-    cores)`` threads, where cores is this process's share of the cores it
-    may run on (:func:`_cores`), so that ``burst`` and the objective may be
-    called from several threads at once; otherwise it stays in turn.
-    Either way the outcomes are then handled in firework order: best-so-far
-    tracking, restarts, the tournament and the trace rows, so both paths
-    give the same result.
+    firework, the rest of the cell explodes on a pool of ``min(R *
+    n_fireworks, cores)`` threads, where cores is this process's share of
+    the cores it may run on (:func:`_cores`): each thread takes one
+    contiguous chunk of the generation's fireworks, so ``burst`` and the
+    objective may be called from several threads at once; otherwise the
+    whole generation is one ``burst``.  Either way each run then handles
+    its outcomes in firework order: best-so-far tracking, restarts, the
+    tournament and the trace rows, so both paths, and a run on its own or
+    among others, give the same result.
     """
-    n = len(fireworks)
-    workers = min(n, _cores())
-    explode_all = map
-    burst_s = math.inf  # the cheapest mean burst of the timed generations
+    runs = [_Run(fireworks) for fireworks in swarms]
+    n = len(swarms[0])
+    workers = min(n * len(runs), _cores())
+    explode_all = burst
+    burst_s = math.inf  # the cheapest mean time per firework of the timed generations
     g_max = (budget - n) // (n * lam)
     f_star = float(getattr(problem, "f_star", 0.0))
-    evals = n
-    best_f, best_x = math.inf, None
 
-    def track(f, x):
-        nonlocal best_f, best_x
-        if f < best_f:
-            best_f, best_x = float(f), x.copy()
+    def settle(run, outcomes, g):
+        run.restarted = set()
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, DegenerateStateError):
+                if outcome.fitnesses is not None:
+                    run.evals += lam
+                    j = int(outcome.fitnesses.argmin())
+                    run.track(outcome.fitnesses[j], outcome.sparks[j])
+                run.restart(i, fresh)
+            else:
+                run.evals += lam
+                x, f = outcome
+                run.track(f, x)
 
-    def restart(i):
-        nonlocal evals
-        fireworks[i] = fresh(fireworks[i])
-        evals += 1
-        track(fireworks[i].best_fitness, fireworks[i].best_position)
-        restarted.add(i)
+        fireworks = run.fireworks
+        if run.k == n:
+            global_best = min(fw.last_gen_best for fw in fireworks)
+            for i in range(n):
+                if i not in run.restarted and loser_out_check(
+                    fireworks[i], g, g_max, global_best, eps
+                ):
+                    run.restart(i, fresh)
 
-    def attempt(fw):
-        try:
-            return burst(fw)
-        except DegenerateStateError as exc:
-            return exc
+        for i in range(run.k):
+            fw = fireworks[i]
+            run.trace.append(
+                TraceRecord(
+                    gen=g,
+                    fw=i,
+                    gap=fw.last_gen_best - f_star,
+                    df=fw.df,
+                    scale=fw.scale,
+                    restart=i in run.restarted,
+                    best_gap=run.best_f - f_star,
+                )
+            )
+        if run.k:
+            run.generations = g
 
-    for fw in fireworks:
-        track(fw.best_fitness, fw.best_position)
-
-    trace = []
-    generations = 0
+    live = runs
     g = 0
-    full = True
     with ExitStack() as stack:
-        while full:
+        while live:
             g += 1
             if g == 3 and workers > 1 and burst_s >= THREAD_MIN_BURST_S:
-                explode_all = stack.enter_context(ThreadPoolExecutor(workers)).map
-            restarted = set()
-            k = min(n, max(0, (budget - evals) // lam))
+                pool = stack.enter_context(ThreadPoolExecutor(workers))
+
+                def explode_all(fws):
+                    return [o for part in pool.map(burst, _chunks(fws, workers)) for o in part]
+
+            batch = []
+            for run in live:
+                run.k = min(n, max(0, (budget - run.evals) // lam))
+                batch += run.fireworks[: run.k]
             start = time.perf_counter()
-            outcomes = list(explode_all(attempt, fireworks[:k]))
+            outcomes = explode_all(batch) if batch else []
             if g <= 2:
-                burst_s = min(burst_s, (time.perf_counter() - start) / max(k, 1))
-            for i, outcome in enumerate(outcomes):
-                if isinstance(outcome, DegenerateStateError):
-                    if outcome.fitnesses is not None:
-                        evals += lam
-                        j = int(outcome.fitnesses.argmin())
-                        track(outcome.fitnesses[j], outcome.sparks[j])
-                    restart(i)
-                else:
-                    evals += lam
-                    x, f = outcome
-                    track(f, x)
+                burst_s = min(burst_s, (time.perf_counter() - start) / max(len(batch), 1))
+            at = 0
+            for run in live:
+                settle(run, outcomes[at : at + run.k], g)
+                at += run.k
+            live = [run for run in live if run.k == n]
 
-            full = k == n
-            if full:
-                global_best = min(fw.last_gen_best for fw in fireworks)
-                for i in range(n):
-                    if i not in restarted and loser_out_check(
-                        fireworks[i], g, g_max, global_best, eps
-                    ):
-                        restart(i)
-
-            for i in range(k):
-                fw = fireworks[i]
-                trace.append(
-                    TraceRecord(
-                        gen=g,
-                        fw=i,
-                        gap=fw.last_gen_best - f_star,
-                        df=fw.df,
-                        scale=fw.scale,
-                        restart=i in restarted,
-                        best_gap=best_f - f_star,
-                    )
-                )
-            if k:
-                generations = g
-
-    return RunResult(
-        best_position=best_x,
-        best_fitness=best_f,
-        evals_used=evals,
-        generations=generations,
-        trace=trace,
-    )
+    return [run.result() for run in runs]

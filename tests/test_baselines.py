@@ -72,17 +72,22 @@ def test_gaussian_limit_deterministic():
 
 
 def test_uniform_sparks_support():
-    rng = np.random.default_rng(0)
-    mean = np.array([10.0, -20.0])
-    sparks = uniform_sparks(mean, 5.0, 1_000, -100.0, 100.0, rng)
-    assert sparks.shape == (1_000, 2)
-    assert np.all(np.abs(sparks - mean) <= 5.0)
+    # each firework's sparks lie in its own hypercube and are what its own
+    # generator gives it alone
+    means = np.array([[10.0, -20.0], [-50.0, 30.0]])
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    sparks = uniform_sparks(means, [5.0, 2.0], 1_000, -100.0, 100.0, rngs)
+    assert sparks.shape == (2, 1_000, 2)
+    assert np.all(np.abs(sparks[0] - means[0]) <= 5.0)
+    assert np.all(np.abs(sparks[1] - means[1]) <= 2.0)
+    alone = uniform_sparks(means[1:], [2.0], 1_000, -100.0, 100.0, [np.random.default_rng(1)])
+    assert np.array_equal(alone[0], sparks[1])
 
 
 def test_uniform_sparks_clipped_at_bounds():
     rng = np.random.default_rng(1)
     mean = np.array([99.0, 0.0])
-    sparks = uniform_sparks(mean, 5.0, 1_000, -100.0, 100.0, rng)
+    sparks = uniform_sparks(mean[None], [5.0], 1_000, -100.0, 100.0, [rng])[0]
     assert np.all(sparks[:, 0] <= 100.0)
     assert np.max(sparks[:, 0]) == 100.0
 

@@ -5,7 +5,8 @@ one generation driver (budget check, best-so-far tracking, trace rows and
 the loser-out tournament of Li & Tan, "Loser-Out Tournament-Based Fireworks
 Algorithm for Multimodal Function Optimization", IEEE TEVC 2018); random
 search keeps its own loop.  These checks hold for all four on any box, and
-for objectives that return NaN, which count as +inf.
+for objectives that return NaN, which count as +inf.  A cell's runs go
+through one generation loop, and each gives the result it gives on its own.
 """
 
 import dataclasses
@@ -16,11 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tfwa.baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+import tfwa.swarm as swarm_mod
+from tfwa.baselines import (
+    gaussian_limit_cell,
+    gaussian_limit_run,
+    random_search_cell,
+    random_search_run,
+    uniform_fwa_cell,
+    uniform_fwa_run,
+)
 from tfwa.benchfns import make_problem
-from tfwa.swarm import SwarmConfig, run
+from tfwa.swarm import SwarmConfig, run, run_cell
 
 RUNNERS = [run, gaussian_limit_run, uniform_fwa_run, random_search_run]
+CELLS = [run_cell, gaussian_limit_cell, uniform_fwa_cell, random_search_cell]
 RUNNER_IDS = ["tfwa", "gaussian-limit", "uniform-fwa", "random-search"]
 
 
@@ -172,3 +182,54 @@ def test_runner_needs_only_evaluate(runner):
     assert 0 < result.evals_used <= config.budget + slack
     assert result.generations > 0
     assert result.best_fitness == objective.evaluate(result.best_position)
+
+
+def _as_tuple(result):
+    return (
+        result.best_fitness,
+        result.best_position.tobytes(),
+        result.evals_used,
+        result.generations,
+        [dataclasses.astuple(r) for r in result.trace],
+    )
+
+
+# ackley d=3 under these configs restarts each firework run a different
+# number of times, so the runs of a cell end at different generations
+_CELL_CONFIGS = [SwarmConfig(seed=s, budget=300, sparks_per_firework=6) for s in range(4)]
+
+
+@pytest.mark.parametrize("objective", ["restarts-differ", "nan-part"])
+@pytest.mark.parametrize("cell, runner", list(zip(CELLS, RUNNERS)), ids=RUNNER_IDS)
+def test_cell_matches_runs(cell, runner, objective):
+    if objective == "nan-part":
+        problem = _NanSphere(3, 20.0)
+    else:
+        problem = make_problem("ackley", 3, seed=0)
+    results = cell(problem, _CELL_CONFIGS)
+    assert [_as_tuple(r) for r in results] == [
+        _as_tuple(runner(problem, c)) for c in _CELL_CONFIGS
+    ]
+    if objective == "restarts-differ" and runner is not random_search_run:
+        assert len({r.generations for r in results}) > 1
+
+
+def test_uniform_cell_evaluates_one_batch_per_generation(monkeypatch):
+    monkeypatch.setattr(swarm_mod, "THREAD_MIN_BURST_S", math.inf)  # in turn
+    recording = _Recording(make_problem("ackley", 3, seed=0))
+    results = uniform_fwa_cell(recording, _CELL_CONFIGS)
+    # the starting points are evaluated one at a time, the sparks in batches
+    batches = [p for p in recording.points if len(p) > 1]
+    assert len(batches) == max(r.generations for r in results)
+    assert len(batches[0]) == len(_CELL_CONFIGS) * 2 * 6
+
+
+@pytest.mark.parametrize("cell", CELLS[:3], ids=RUNNER_IDS[:3])
+@pytest.mark.parametrize(
+    "configs",
+    [[], [SwarmConfig(seed=0), SwarmConfig(seed=1, eps=1e-3)]],
+    ids=["empty", "differ-beyond-seed"],
+)
+def test_cell_rejects_configs_of_more_than_one_cell(cell, configs):
+    with pytest.raises(ValueError, match="cell"):
+        cell(make_problem("sphere", 2, seed=0), configs)

@@ -77,6 +77,38 @@ def test_cli_run_rejects_repeated_problem(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"suite": [], "reps": 2, "dims": [2]}, "suite is empty"),
+        ({"suite": ["sphere"], "dims": []}, "dims is empty"),
+        ({"suite": ["sphere"], "dims": [2], "algos": []}, "algos is empty"),
+        (
+            {
+                "suite": ["sphere"],
+                "dims": [20, 2],
+                "budget_multiplier": 1000,
+                "swarm": {"sparks_per_firework": 1000},
+            },
+            "at dim 2: budget 2000 cannot cover",
+        ),
+    ],
+    ids=["empty-suite", "empty-dims", "empty-algos", "shape-bad-at-one-dim"],
+)
+def test_cli_run_rejects_grid_before_any_run(tmp_path, capsys, monkeypatch, grid, message):
+    # a grid without runs, or with a run shape that fails at one dimension
+    # only, is an error before the first run, and nothing is written
+    made = []
+    monkeypatch.setattr(tfwa.harness, "make_problem", lambda *args: made.append(args))
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(grid))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert made == []
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_experiment_row_grid(tmp_path):
     config = ExperimentConfig(out_dir=str(tmp_path / "out"), **SMALL)
     rows, summary = run_experiment(config)
@@ -171,6 +203,34 @@ def test_run_experiment_workers_match_serial(tmp_path):
         ).read_bytes(), name
 
 
+def test_one_cell_grid_is_identical_at_any_worker_count(tmp_path):
+    # with fewer cells than workers a cell's repetitions split into chunks,
+    # one per worker, and the rows come back in grid order
+    blobs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        config = ExperimentConfig(
+            suite=("rastrigin",),
+            dims=(2,),
+            algos=("uniform-fwa",),
+            reps=5,
+            budget_multiplier=200,
+            workers=workers,
+            out_dir=str(out),
+        )
+        rows, _ = run_experiment(config)
+        assert [r["rep"] for r in rows] == [0, 1, 2, 3, 4]
+        blobs.append(
+            {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in out.rglob("*.*")
+                if path.name != "config.json"
+            }
+        )
+    assert len(blobs[0]) == 2 + 5
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 _SPECIAL_FLOATS = [
     math.nan,
     math.inf,
@@ -245,19 +305,19 @@ def test_run_experiment_gaussian_limit_and_random_search(tmp_path):
 
 def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
     # a rebinding of the module attribute (a profiler's wrapper) sees every run
-    real = tfwa.harness.uniform_fwa_run
+    real = tfwa.harness.uniform_fwa_cell
     seen = []
 
-    def wrapped(problem, config):
-        seen.append(config.seed)
-        return real(problem, config)
+    def wrapped(problem, configs):
+        seen.append([c.seed for c in configs])
+        return real(problem, configs)
 
-    monkeypatch.setattr(tfwa.harness, "uniform_fwa_run", wrapped)
+    monkeypatch.setattr(tfwa.harness, "uniform_fwa_cell", wrapped)
     config = ExperimentConfig(
         suite=("sphere",), dims=(2,), algos=("uniform-fwa",), reps=2, budget_multiplier=100
     )
     rows, _ = run_experiment(config)
-    assert seen == [0, 1]
+    assert seen == [[0, 1]]
     assert len(rows) == 2
 
 
@@ -419,7 +479,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
 
 def test_validate_accepts_numpy_integers():
     validate_experiment(
-        ExperimentConfig(dims=(np.int64(2),), reps=np.int32(3), budget_multiplier=np.int64(5))
+        ExperimentConfig(dims=(np.int64(2),), reps=np.int32(3), budget_multiplier=np.int64(50))
     )
 
 

@@ -281,3 +281,28 @@ def test_degenerate_with_evaluated_sparks_keeps_accounting(monkeypatch):
     assert result.evals_used <= budget + config.n_fireworks
     # the evaluated sparks at the origin must feed the best tracker
     assert result.best_fitness <= problem.evaluate(np.zeros(2))
+
+
+def test_partial_generation_is_last_after_failure_before_sampling(monkeypatch):
+    # the fourth generation has room for one firework, which fails before
+    # evaluating a spark: its restart costs one evaluation and leaves room
+    # for another explosion, but a generation in which fewer than all
+    # fireworks explode is the run's last
+    problem = make_problem("sphere", 2, seed=0)
+    config = SwarmConfig(seed=0, budget=2 + 3 * 2 * 10 + 10 + 5)
+    calls = {"n": 0}
+    real_explode = swarm_mod.explode
+
+    def flaky(state, params, objective, rng):
+        calls["n"] += 1
+        if calls["n"] == 7:
+            raise DegenerateStateError("collapse before sampling")
+        return real_explode(state, params, objective, rng)
+
+    monkeypatch.setattr(swarm_mod, "explode", flaky)
+    result = run(problem, config)
+    assert calls["n"] == 7
+    assert result.generations == 4
+    last = result.trace[-1]
+    assert (last.gen, last.fw, last.restart) == (4, 0, True)
+    assert result.evals_used <= config.budget - 10

@@ -1,10 +1,12 @@
 """Explosions on threads, per-firework generators and the per-run BLAS pin.
 
-A run times its first two generations, which explode in turn; when the
-cheaper of them took at least ``swarm.THREAD_MIN_BURST_S`` per burst, the
-rest of its generations explode on a thread pool.  Each firework draws from
-its own generator and the driver handles the outcomes in firework order, so
-the threaded and the in-turn path must give the same run, bit for bit.
+A run, or a cell of runs, times its first two generations, which explode in
+turn; when the cheaper of them took at least ``swarm.THREAD_MIN_BURST_S``
+per firework, the rest of its generations explode on a thread pool, each
+thread taking a contiguous chunk of the generation's fireworks.  Each
+firework draws from its own generator and each run handles its outcomes in
+firework order, so the threaded and the in-turn path, and a run alone or in
+a cell, must give the same run, bit for bit.
 Every run holds BLAS at one thread, which also makes a d=100 run independent
 of the thread count the process started with.
 """
@@ -24,11 +26,17 @@ import pytest
 import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
 from tfwa import blas
-from tfwa.baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+from tfwa.baselines import (
+    gaussian_limit_cell,
+    gaussian_limit_run,
+    random_search_run,
+    uniform_fwa_cell,
+    uniform_fwa_run,
+)
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
 from tfwa.harness import ExperimentConfig, run_experiment
-from tfwa.swarm import SwarmConfig, run
+from tfwa.swarm import SwarmConfig, run, run_cell
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,10 +78,9 @@ class _Problem:
         """Threads that evaluated a batch."""
         return set(self.batch_threads)
 
-    def pooled_after_timing(self, n_fireworks):
-        """Whether the timed generations' batches ran on the calling thread
-        and every later one on the pool."""
-        timed = TIMED * n_fireworks
+    def pooled_after_timing(self, timed):
+        """Whether the first ``timed`` batches, the timed generations', ran on
+        the calling thread and every later one on the pool."""
         caller = threading.get_ident()
         return (
             self.batch_threads[:timed] == [caller] * timed
@@ -91,6 +98,13 @@ class _SlowProblem(_Problem):
     def evaluate_batch(self, xs):
         time.sleep(2e-3)
         return super().evaluate_batch(xs)
+
+
+def _timed_batches(runner, n_fireworks):
+    """The batches of a run's timed generations: a uniform generation
+    evaluates all its fireworks' sparks in one, a t generation makes one per
+    firework."""
+    return TIMED * (1 if runner is uniform_fwa_run else n_fireworks)
 
 
 def _force(monkeypatch, min_burst_s, cores=2):
@@ -128,7 +142,7 @@ def test_threaded_matches_in_turn(monkeypatch, runner, tail):
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert problems[0].threads == {threading.get_ident()}
-    assert problems[1].pooled_after_timing(config.n_fireworks)
+    assert problems[1].pooled_after_timing(_timed_batches(runner, config.n_fireworks))
     if tail:
         assert [(r.gen, r.fw) for r in in_turn.trace[-2:]] == [(8, 1), (9, 0)]
 
@@ -190,6 +204,54 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
     assert in_turn.evals_used <= config.budget + config.n_fireworks
 
 
+@pytest.mark.parametrize(
+    "cell, runner",
+    [
+        (run_cell, run),
+        (gaussian_limit_cell, gaussian_limit_run),
+        (uniform_fwa_cell, uniform_fwa_run),
+    ],
+    ids=["tfwa", "gaussian-limit", "uniform-fwa"],
+)
+def test_cell_on_the_pool_matches_runs_in_turn(monkeypatch, cell, runner):
+    # three runs' fireworks in chunks on three threads: 12 generations leave
+    # 52 - restarts evaluations, so a run with at most two restarts explodes
+    # one firework of a 13th and the others none; the runs' last outcomes
+    # arrive in uneven chunks and must not mix into another run's
+    configs = [SwarmConfig(seed=s, budget=2 + 12 * 2 * 50 + 52) for s in range(3)]
+    _force(monkeypatch, IN_TURN)
+    alone = [runner(make_problem("rastrigin", 10, seed=0), c) for c in configs]
+    _force(monkeypatch, THREADED, cores=3)
+    problem = _Problem(make_problem("rastrigin", 10, seed=0))
+    pooled = cell(problem, configs)
+    assert [_as_tuple(r) for r in pooled] == [_as_tuple(r) for r in alone]
+    assert threading.get_ident() not in problem.batch_threads[-3:]
+    assert len(problem.threads) > 1
+    assert len({len(r.trace) for r in alone}) > 1
+
+
+@pytest.mark.parametrize("min_burst_s", [IN_TURN, THREADED], ids=["in-turn", "threaded"])
+def test_cell_with_degenerate_fireworks_matches_runs(monkeypatch, min_burst_s):
+    # the second firework of each run fails after evaluating its sparks in
+    # its third generation since a (re)start
+    real_explode = swarm_mod.explode
+
+    def explode(state, params, objective, rng):
+        if state.df_factor == 10.0 and state.gen_count == 2:
+            xs, fits = real_explode(state, params, objective, rng)
+            raise DegenerateStateError("forced", sparks=xs, fitnesses=fits)
+        return real_explode(state, params, objective, rng)
+
+    monkeypatch.setattr(swarm_mod, "explode", explode)
+    configs = [SwarmConfig(seed=s, budget=2 + 9 * 2 * 50 + 50) for s in range(3)]
+    _force(monkeypatch, IN_TURN)
+    alone = [run(make_problem("rastrigin", 10, seed=0), c) for c in configs]
+    _force(monkeypatch, min_burst_s, cores=4)
+    cell = run_cell(make_problem("rastrigin", 10, seed=0), configs)
+    assert [_as_tuple(r) for r in cell] == [_as_tuple(r) for r in alone]
+    assert all(r.restarts >= 3 for r in alone)
+
+
 def test_burst_cost_picks_the_path(monkeypatch):
     # at the default threshold a cheap burst stays in turn, and a costly one
     # goes to the pool even at d=2, where it gives the in-turn run's bits
@@ -203,7 +265,8 @@ def test_burst_cost_picks_the_path(monkeypatch):
 
         slow = _SlowProblem(2)
         threaded = runner(slow, slow_config)
-        assert slow.pooled_after_timing(slow_config.n_fireworks), runner.__name__
+        timed = _timed_batches(runner, slow_config.n_fireworks)
+        assert slow.pooled_after_timing(timed), runner.__name__
         with monkeypatch.context() as m:
             m.setattr(swarm_mod, "THREAD_MIN_BURST_S", IN_TURN)
             in_turn = runner(_SlowProblem(2), slow_config)
