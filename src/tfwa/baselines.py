@@ -103,7 +103,7 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     return uniform_fwa_cell(problem, [config])[0]
 
 
-@blas.single_thread()
+@blas.run_settings()
 def uniform_fwa_cell(problem, configs) -> list:
     """One :func:`uniform_fwa_run` result per config, from one generation loop.
 
@@ -156,7 +156,7 @@ def uniform_fwa_cell(problem, configs) -> list:
     )
 
 
-@blas.single_thread()
+@blas.run_settings()
 def random_search_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform random search over the full box, one batch per generation.
 

@@ -1,4 +1,4 @@
-"""One BLAS thread per run.
+"""One BLAS thread per run, and a heap that keeps its freed memory.
 
 numpy's wheels bundle OpenBLAS as ``libscipy_openblas64_``, which exports a
 setter and a getter for its thread count.  Every run sets one thread on entry
@@ -10,6 +10,13 @@ generation driver explodes fireworks on threads of its own.
 The library is looked up on the first run, not at import.  Where it or its
 symbols are missing, :func:`threads` returns ``None`` and the pin does
 nothing.
+
+The first run in a process also tells glibc's allocator to keep freed
+memory (:func:`keep_heap`).  Otherwise glibc trims the heap and grows it
+again around the temporaries of about 400 KB that a d=100 explosion
+allocates every generation, which faults their pages in again each time.
+The setting is process-wide and glibc cannot report the values it replaces,
+so it is never undone.
 """
 
 from __future__ import annotations
@@ -17,12 +24,22 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import platform
+import warnings
 from contextlib import contextmanager
 
 _GETTER = "scipy_openblas_get_num_threads64_"
 _SETTER = "scipy_openblas_set_num_threads64_"
 
+# mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's ceiling for its dynamic mmap threshold on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX); blocks below it come from the heap
+MMAP_THRESHOLD = 32 * 2**20
+
 _api = None  # (getter, setter) once found, () when there is none
+_heap_kept = False  # keep_heap has run in this process
 
 
 def _load():
@@ -62,9 +79,43 @@ def set_threads(count: int) -> None:
         api[1](count)
 
 
+def keep_heap() -> None:
+    """Have glibc keep freed memory in the process; once per process.
+
+    Sets the mmap threshold to :data:`MMAP_THRESHOLD` and the trim
+    threshold to twice that, as glibc's dynamic rule would.  Both must be
+    set: setting either switches the dynamic rule off, and the trim
+    threshold alone leaves blocks from 128 KB to ``mmap``.  Off glibc, or
+    without ``mallopt``, it does nothing; if glibc refuses a value it warns
+    and sets nothing more.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in (
+        (_M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+        (_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD),
+    ):
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({param}, {value}) failed; freed memory goes back to the kernel")
+            return
+
+
 @contextmanager
-def single_thread():
-    """Run the body with one BLAS thread, then restore the previous count."""
+def run_settings():
+    """Run the body with one BLAS thread, then restore the previous count.
+
+    On entry it also applies :func:`keep_heap`, which is never undone.
+    """
+    keep_heap()
     previous = threads()
     set_threads(1)
     try:

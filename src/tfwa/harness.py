@@ -316,6 +316,8 @@ def validate_experiment(config: ExperimentConfig):
         if len(set(values)) != len(values):
             raise ValueError(f"{label} lists an entry twice: {' '.join(map(str, values))}")
     _require_int("base_seed", config.base_seed)
+    if config.base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {config.base_seed}")
     for name in ("reps", "budget_multiplier", "workers"):
         _require_int(name, getattr(config, name))
         if getattr(config, name) < 1:

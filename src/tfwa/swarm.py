@@ -129,6 +129,12 @@ def resolve_run_shape(problem, config: SwarmConfig):
             f"df_factors must provide one factor per firework "
             f"({n}), got {len(config.df_factors)}"
         )
+    for factor in config.df_factors:
+        _require_real("df_factors", factor)
+    _require_real("df_init", config.df_init)
+    _require_real("eps", config.eps)
+    if not isinstance(config.literal_psigma, (bool, np.bool_)):
+        raise ValueError(f"literal_psigma must be true or false, got {config.literal_psigma!r}")
     # written so that a NaN fails the check
     if any(not f > 1.0 for f in config.df_factors):
         raise ValueError("df growth factors must exceed 1")
@@ -156,6 +162,12 @@ def _require_int(name, value):
     """Raise ValueError unless ``value`` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name, value):
+    """Raise ValueError unless ``value`` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _fresh_firework(cls, problem, rng, **fields):
@@ -239,7 +251,7 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
     return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
 
-@blas.single_thread()
+@blas.run_settings()
 def run_cell(problem, configs) -> list:
     """One :func:`run` result per config in ``configs``, from one generation loop.
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -477,6 +478,30 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "fields, flags, message",
+    [
+        ({"swarm": {"literal_psigma": "no"}}, [], "literal_psigma must be true or false"),
+        ({"swarm": {"eps": True}}, [], "eps must be a real number"),
+        ({"swarm": {"df_init": "5"}}, [], "df_init must be a real number"),
+        ({"swarm": {"df_factors": [1.05, "10"]}}, [], "df_factors must be a real number"),
+        ({}, ["--seed", "-5"], "base_seed must be non-negative"),
+    ],
+    ids=["literal_psigma", "eps", "df_init", "df_factors", "negative_seed"],
+)
+def test_cli_config_file_rejects_mistyped_values(tmp_path, capsys, fields, flags, message):
+    # a non-empty string once switched literal_psigma on and true ran as
+    # eps = 1, both exiting 0; the others failed with a message that named
+    # no key
+    cfg_path = tmp_path / "exp.json"
+    grid = {"suite": ["sphere"], "dims": [2], "algos": ["tfwa"], "reps": 1}
+    cfg_path.write_text(json.dumps({**grid, **fields}))
+    code = main(["run", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_validate_accepts_numpy_integers():
     validate_experiment(
         ExperimentConfig(dims=(np.int64(2),), reps=np.int32(3), budget_multiplier=np.int64(50))
@@ -597,3 +622,47 @@ def test_python_m_harness_runs_without_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "tfwa-bench" in proc.stdout
+
+
+_START_METHOD_GRID = """
+import multiprocessing
+import sys
+
+from tfwa.harness import main
+
+multiprocessing.set_start_method(sys.argv[1])
+sys.exit(main([
+    "run", "--suite", "sphere", "rastrigin", "--dims", "2", "100",
+    "--algos", "tfwa", "uniform-fwa", "random-search", "--reps", "2",
+    "--budget-mult", "60", "--seed", "0", "--workers", "2", "--out", sys.argv[2],
+]))
+"""
+
+
+def test_grid_outputs_do_not_depend_on_the_start_method(tmp_path):
+    # workers started by forkserver or spawn inherit no state from the
+    # parent, so each must set itself up (BLAS pin, heap setting, core share)
+    # exactly as a forked one does
+    src = str(Path(tfwa.harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for method in ("fork", "forkserver", "spawn"):
+        if method not in multiprocessing.get_all_start_methods():
+            continue
+        out = tmp_path / method
+        subprocess.run(
+            [sys.executable, "-c", _START_METHOD_GRID, method, str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=600,
+        )
+        outputs[method] = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "config.json"
+        }
+    assert len(outputs) >= 2
+    first, *rest = outputs.values()
+    assert len(first) == 2 + 2 * 2 * 3 * 2  # results, summary and one trace per run
+    for other in rest:
+        assert other == first
