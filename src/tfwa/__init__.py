@@ -46,7 +46,6 @@ from .swarm import (
     RunResult,
     SwarmConfig,
     TraceRecord,
-    init_swarm,
     loser_out_check,
     restart_firework,
     run,
@@ -79,7 +78,6 @@ __all__ = [
     "fuse_weights",
     "gaussian_limit_cell",
     "gaussian_limit_run",
-    "init_swarm",
     "loser_out_check",
     "make_problem",
     "moment_identity_residuals",

@@ -11,9 +11,14 @@
 
 Each has a cell entry point (``gaussian_limit_cell``, ``uniform_fwa_cell``,
 ``random_search_cell``) that takes a problem and the configs of a grid
-cell's repetitions and returns one result per config, equal to the run's on
-its own.  Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate``
-from the objective, and uses ``evaluate_batch`` when it has one.
+cell's repetitions, which may differ only in their seeds, and returns one
+result per config, equal to the run's on its own.  The swarm's driver
+(``tfwa.swarm._drive``) seeds, starts and pins BLAS for the firework
+cells, so ``uniform_fwa_cell`` supplies only how to start, restart and
+explode a uniform firework, and one seed starts it at the t fireworks'
+means; random search keeps its own loop and BLAS pin.  Every runner needs
+only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the objective, and uses
+``evaluate_batch`` when it has one.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ class _UniformFirework:
     scale: float
     last_gen_best: float
     best_fitness: float
-    best_position: np.ndarray
     df: float = 0.0
     improvement: float = 0.0
     gen_improvement: float = 0.0
@@ -103,7 +107,6 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     return uniform_fwa_cell(problem, [config])[0]
 
 
-@blas.run_settings()
 def uniform_fwa_cell(problem, configs) -> list:
     """One :func:`uniform_fwa_run` result per config, from one generation loop.
 
@@ -113,10 +116,10 @@ def uniform_fwa_cell(problem, configs) -> list:
     evaluates each point on its own, so every result equals the run's on
     its own bit for bit.
     """
-    n, lam, budget = _cell_shape(problem, configs)
+    _, lam, budget = _cell_shape(problem, configs)
     box = float(problem.ub - problem.lb)
 
-    def new(rng):
+    def new(_, rng):
         return _fresh_firework(_UniformFirework, problem, rng, scale=AMPLITUDE_INIT * box)
 
     def burst(fws):
@@ -137,22 +140,15 @@ def uniform_fwa_cell(problem, configs) -> list:
             # The firework only ever moves to an improving spark, so its
             # current fitness is also its all-time best.
             if gen_best < fw.last_gen_best:
-                fw.mean, fw.best_position = x, x.copy()
+                fw.mean = x
                 fw.last_gen_best = fw.best_fitness = gen_best
                 fw.scale = min(fw.scale * AMPLITUDE_GROWTH, box)
             else:
                 fw.scale *= AMPLITUDE_DECAY
         return outcomes
 
-    swarms = [[new(rng) for rng in np.random.default_rng(c.seed).spawn(n)] for c in configs]
     return _drive(
-        problem,
-        configs[0].eps,
-        lam,
-        budget,
-        swarms,
-        fresh=lambda fw: new(fw.rng),
-        burst=burst,
+        problem, configs, lam, budget, new=new, fresh=lambda fw: new(None, fw.rng), burst=burst
     )
 
 
@@ -212,7 +208,9 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
 def random_search_cell(problem, configs) -> list:
     """One :func:`random_search_run` result per config.
 
-    Each run keeps its own loop: its block sampling already spreads the
-    per-call cost over many generations.
+    The configs may differ only in their seeds.  Each run keeps its own
+    loop: its block sampling already spreads the per-call cost over many
+    generations.
     """
+    _cell_shape(problem, configs)
     return [random_search_run(problem, c) for c in configs]

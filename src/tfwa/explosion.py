@@ -72,7 +72,6 @@ class FireworkState:
     scale: float
     last_gen_best: float
     best_fitness: float
-    best_position: np.ndarray
     improvement: float = 0.0
     gen_improvement: float = 0.0
     gen_count: int = 0
@@ -332,8 +331,6 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     state.df = adjust_degree_of_freedom(state.df, gen_best, state.last_gen_best, state.df_factor)
     state.gen_improvement = state.last_gen_best - gen_best
     state.last_gen_best = gen_best
-    if gen_best < state.best_fitness:
-        state.best_fitness = gen_best
-        state.best_position = xs[0].copy()
+    state.best_fitness = min(state.best_fitness, gen_best)
     state.gen_count += 1
     return xs, fits

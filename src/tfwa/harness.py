@@ -295,8 +295,13 @@ def _run_cells(job):
 def validate_experiment(config: ExperimentConfig):
     """Raise ValueError on unknown names or malformed grids before any run."""
     for label in ("suite", "dims", "algos"):
-        if not getattr(config, label):
+        values = getattr(config, label)
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{label} must be a list, got {values!r}")
+        if not values:
             raise ValueError(f"{label} is empty, so the grid has no runs")
+    if config.out_dir is not None and not isinstance(config.out_dir, str):
+        raise ValueError(f"out_dir must be a string, got {config.out_dir!r}")
     for name in config.suite:
         if name not in PROBLEM_NAMES:
             raise ValueError(

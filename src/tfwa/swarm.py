@@ -6,18 +6,19 @@ its recent per-generation improvement, extrapolated over the remaining
 generations, cannot close the gap between its own all-time best and the
 best current firework fitness, it is thrown out and restarted from a fresh
 uniform position.  The driver owns the budget, the tournament, best-so-far
-tracking and the trace; an algorithm supplies only how to make a fresh
-firework and how to explode a list of them, so the t firework here and the
-baselines share the same accounting.  Each t firework carries its own
+tracking and the trace; an algorithm supplies only how to start, restart
+and explode its fireworks, so the t firework here and the baselines share
+the same seeding and accounting.  Each t firework carries its own
 degree-of-freedom growth factor, so one can anneal to Gaussian sampling
 quickly while another keeps heavy tails for longer.
 
-Each firework draws from its own generator, spawned from the run's seed, so
-its explosions do not depend on one another.  The driver therefore takes the
-repetitions of one grid cell through one generation loop (:func:`run_cell`),
-each run keeping its own budget, tournament and trace, and once a burst
-proves costly a generation's fireworks explode in chunks on a thread pool,
-with the same results as exploding them in turn and one run at a time.
+Each firework draws from its own generator, which the driver spawns from
+the run's seed, so its explosions do not depend on one another.  The driver
+therefore takes the repetitions of one grid cell through one generation loop
+(:func:`run_cell`), each run keeping its own budget, tournament and trace,
+and once a burst proves costly a generation's fireworks explode in chunks on
+a thread pool, with the same results as exploding them in turn and one run
+at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from . import blas
 from .explosion import (
     DegenerateStateError,
     FireworkState,
-    StrategyParams,
     _evaluate_one,
     derive_params,
     explode,
@@ -103,15 +103,6 @@ class RunResult:
     @property
     def restarts(self) -> int:
         return sum(1 for r in self.trace if r.restart)
-
-
-@dataclass
-class SwarmState:
-    """Fresh fireworks, their shared strategy constants and the resolved budget."""
-
-    fireworks: list
-    params: StrategyParams
-    budget: int
 
 
 def resolve_run_shape(problem, config: SwarmConfig):
@@ -184,13 +175,17 @@ def _fresh_firework(cls, problem, rng, **fields):
         mean=mean,
         last_gen_best=f0,
         best_fitness=f0,
-        best_position=mean.copy(),
         rng=rng,
         **fields,
     )
 
 
 def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkState:
+    """A t firework at a centre-half mean drawn from ``rng``; one evaluation.
+
+    The shape matrix starts at the identity with step size ``ub - lb``, both
+    evolution paths at zero and the degrees of freedom at ``df_init``.
+    """
     d = problem.dim
     return _fresh_firework(
         FireworkState,
@@ -206,23 +201,6 @@ def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkS
         path_s=np.zeros(d),
         scale=float(problem.ub - problem.lb),
     )
-
-
-def init_swarm(problem, config: SwarmConfig, rng) -> SwarmState:
-    """Initialise all fireworks and evaluate their means.
-
-    Firework ``i`` gets the ``i``-th generator spawned from ``rng``, and its
-    mean is drawn uniformly from the centre half of the search box; the
-    shape matrix starts at identity with step size ``ub - lb``, and both
-    evolution paths start at zero.  Uses ``n_fireworks`` evaluations.
-    """
-    n, lam, budget = resolve_run_shape(problem, config)
-    fireworks = [
-        _fresh_t_firework(problem, config, f, r)
-        for f, r in zip(config.df_factors, rng.spawn(n))
-    ]
-    params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
-    return SwarmState(fireworks=fireworks, params=params, budget=budget)
 
 
 def loser_out_check(fw: FireworkState, g, g_max, global_best, eps) -> bool:
@@ -251,18 +229,18 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
     return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
 
-@blas.run_settings()
 def run_cell(problem, configs) -> list:
     """One :func:`run` result per config in ``configs``, from one generation loop.
 
-    The configs may differ only in their seeds.  The runs' fireworks explode
-    side by side in :func:`_drive`, and each result equals ``run(problem,
+    The configs may differ only in their seeds.  :func:`_drive` starts firework
+    ``i`` of each run as :func:`_fresh_t_firework` with growth factor
+    ``df_factors[i]``, explodes the runs' fireworks side by side and restarts
+    them through :func:`restart_firework`; each result equals ``run(problem,
     config)`` bit for bit.
     """
     _, lam, budget = _cell_shape(problem, configs)
     config = configs[0]
-    swarms = [init_swarm(problem, c, np.random.default_rng(c.seed)) for c in configs]
-    params = swarms[0].params
+    params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
 
     def attempt(fw):
         try:
@@ -273,10 +251,10 @@ def run_cell(problem, configs) -> list:
 
     return _drive(
         problem,
-        config.eps,
+        configs,
         lam,
         budget,
-        [swarm.fireworks for swarm in swarms],
+        new=lambda i, rng: _fresh_t_firework(problem, config, config.df_factors[i], rng),
         fresh=lambda fw: restart_firework(fw, problem, config, fw.rng),
         burst=lambda fws: list(map(attempt, fws)),
     )
@@ -347,7 +325,7 @@ class _Run:
         self.k = 0
         self.restarted = set()
         for fw in fireworks:
-            self.track(fw.best_fitness, fw.best_position)
+            self.track(fw.best_fitness, fw.mean)
 
     def track(self, f, x):
         if f < self.best_f:
@@ -356,7 +334,7 @@ class _Run:
     def restart(self, i, fresh):
         fw = self.fireworks[i] = fresh(self.fireworks[i])
         self.evals += 1
-        self.track(fw.best_fitness, fw.best_position)
+        self.track(fw.best_fitness, fw.mean)
         self.restarted.add(i)
 
     def result(self) -> RunResult:
@@ -369,15 +347,20 @@ class _Run:
         )
 
 
-def _drive(problem, eps, lam, budget, swarms, fresh, burst) -> list:
+@blas.run_settings()
+def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     """Generation loop shared by every firework algorithm; one
-    :class:`RunResult` per run.
+    :class:`RunResult` per config.
 
-    ``swarms`` holds the initial fireworks of each of R runs of one cell,
-    the same number in each and one evaluation apiece.  The caller resolves
-    the run shape (:func:`resolve_run_shape`) that the runs share: ``lam``
-    sparks per explosion, ``budget`` evaluations per run, tournament
-    threshold ``eps``.  Every generation explodes the runs' fireworks with
+    ``configs`` are those of the R runs of one cell, which differ only in
+    their seeds.  The caller resolves the run shape that the runs share
+    (:func:`_cell_shape`): ``lam`` sparks per explosion and ``budget``
+    evaluations per run; the tournament threshold is the configs' ``eps``.
+    Each run spawns ``n_fireworks`` generators from ``default_rng(seed)``
+    and starts firework ``i`` as ``new(i, rng)`` with the ``i``-th of them:
+    a firework at a fresh mean, evaluated once, that keeps ``rng`` as its
+    own generator.  So one seed starts every algorithm's fireworks at the
+    same means.  Every generation explodes the runs' fireworks with
     ``burst(fws)``, which takes a list of fireworks, from any runs, and
     returns one outcome per firework in order: the generation's best spark
     and its fitness, or the :class:`DegenerateStateError` the explosion
@@ -386,6 +369,9 @@ def _drive(problem, eps, lam, budget, swarms, fresh, burst) -> list:
     replaced by ``fresh(fw)`` (a new firework, one evaluation); after a
     complete generation the loser-out tournament replaces its losers the
     same way.
+
+    BLAS: the whole cell, its starting evaluations included, runs under
+    :func:`tfwa.blas.run_settings`, so OpenBLAS is held at one thread.
 
     Budget: each run counts its own evaluations against ``budget``.  Its
     count at the start of a generation decides how many of its fireworks
@@ -407,8 +393,11 @@ def _drive(problem, eps, lam, budget, swarms, fresh, burst) -> list:
     tournament and the trace rows, so both paths, and a run on its own or
     among others, give the same result.
     """
-    runs = [_Run(fireworks) for fireworks in swarms]
-    n = len(swarms[0])
+    n, eps = configs[0].n_fireworks, configs[0].eps
+    runs = [
+        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(c.seed).spawn(n))])
+        for c in configs
+    ]
     workers = min(n * len(runs), _cores())
     explode_all = burst
     burst_s = math.inf  # the cheapest mean time per firework of the timed generations

@@ -224,7 +224,7 @@ def test_uniform_cell_evaluates_one_batch_per_generation(monkeypatch):
     assert len(batches[0]) == len(_CELL_CONFIGS) * 2 * 6
 
 
-@pytest.mark.parametrize("cell", CELLS[:3], ids=RUNNER_IDS[:3])
+@pytest.mark.parametrize("cell", CELLS, ids=RUNNER_IDS)
 @pytest.mark.parametrize(
     "configs",
     [[], [SwarmConfig(seed=0), SwarmConfig(seed=1, eps=1e-3)]],

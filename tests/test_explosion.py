@@ -260,7 +260,6 @@ def _fresh_state(dim, df=5.0, scale=1.0, mean=None, f0=math.inf):
         scale=scale,
         last_gen_best=f0,
         best_fitness=f0,
-        best_position=mean.copy(),
     )
 
 

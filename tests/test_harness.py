@@ -486,20 +486,51 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         ({"swarm": {"df_init": "5"}}, [], "df_init must be a real number"),
         ({"swarm": {"df_factors": [1.05, "10"]}}, [], "df_factors must be a real number"),
         ({}, ["--seed", "-5"], "base_seed must be non-negative"),
+        ({"out_dir": 5}, [], "out_dir must be a string"),
+        ({"suite": "sphere"}, [], "suite must be a list"),
+        ({"dims": 10}, [], "dims must be a list"),
+        ({"algos": "tfwa"}, [], "algos must be a list"),
     ],
-    ids=["literal_psigma", "eps", "df_init", "df_factors", "negative_seed"],
+    ids=[
+        "literal_psigma",
+        "eps",
+        "df_init",
+        "df_factors",
+        "negative_seed",
+        "out_dir",
+        "suite",
+        "dims",
+        "algos",
+    ],
 )
-def test_cli_config_file_rejects_mistyped_values(tmp_path, capsys, fields, flags, message):
+def test_cli_config_file_rejects_mistyped_values(
+    tmp_path, capsys, monkeypatch, fields, flags, message
+):
     # a non-empty string once switched literal_psigma on and true ran as
-    # eps = 1, both exiting 0; the others failed with a message that named
-    # no key
+    # eps = 1, both exiting 0; "out_dir": 5 ran the whole grid into ./5
+    # before failing; the others failed with a message that named no key,
+    # or the wrong one
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "exp.json"
     grid = {"suite": ["sphere"], "dims": [2], "algos": ["tfwa"], "reps": 1}
     cfg_path.write_text(json.dumps({**grid, **fields}))
-    code = main(["run", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x")])
+    out = [] if "out_dir" in fields else ["--out", str(tmp_path / "x")]
+    code = main(["run", "--config", str(cfg_path), *flags, *out])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
+def test_run_experiment_rejects_path_out_dir(tmp_path):
+    # a Path once wrote results.csv, summary.csv and a truncated config.json,
+    # then failed to serialise itself and wrote no traces
+    out = tmp_path / "x"
+    config = ExperimentConfig(
+        suite=("sphere",), dims=(2,), algos=("random-search",), reps=1, out_dir=out
+    )
+    with pytest.raises(ValueError, match="out_dir must be a string"):
+        run_experiment(config)
+    assert not out.exists()
 
 
 def test_validate_accepts_numpy_integers():

@@ -1,5 +1,6 @@
 """Swarm orchestration: initialisation, tournament, budget, determinism."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,6 @@ from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError, FireworkState, StrategyParams
 from tfwa.swarm import (
     SwarmConfig,
-    init_swarm,
     loser_out_check,
     resolve_run_shape,
     restart_firework,
@@ -61,21 +61,53 @@ def test_resolve_rejects_bad_config(config):
         resolve_run_shape(problem, config)
 
 
-def test_init_swarm_state():
+def test_run_cell_starts_fireworks(monkeypatch):
+    # the fireworks that each run of a cell starts with, before they explode
     problem = make_problem("sphere", 6, seed=0)
-    state = init_swarm(problem, SwarmConfig(seed=0), np.random.default_rng(0))
-    for fw in state.fireworks:
+    started, evaluated, params_seen = [], [], []
+    real_fresh, real_evaluate, real_explode = (
+        swarm_mod._fresh_t_firework,
+        swarm_mod._evaluate_one,
+        swarm_mod.explode,
+    )
+
+    def fresh(*args):
+        fw = real_fresh(*args)
+        started.append(copy.deepcopy(fw))
+        return fw
+
+    def evaluate_one(objective, x):
+        evaluated.append(x.copy())
+        return real_evaluate(objective, x)
+
+    def explode(state, params, objective, rng):
+        params_seen.append(params)
+        return real_explode(state, params, objective, rng)
+
+    monkeypatch.setattr(swarm_mod, "_fresh_t_firework", fresh)
+    monkeypatch.setattr(swarm_mod, "_evaluate_one", evaluate_one)
+    monkeypatch.setattr(swarm_mod, "explode", explode)
+    configs = [SwarmConfig(seed=s, budget=2 + 2 * 30 * 3) for s in (0, 1)]
+    swarm_mod.run_cell(problem, configs)
+    # every fresh firework evaluates its mean once, and the four starts come
+    # first: both fireworks of run 0, then both of run 1
+    assert len(evaluated) == len(started) >= 4
+    starts = started[:4]
+    for fw, x in zip(starts, evaluated):
+        assert np.array_equal(fw.mean, x)
         assert np.all(fw.mean >= -50.0) and np.all(fw.mean <= 50.0)
         assert fw.scale == 200.0
         assert np.array_equal(fw.path_c, np.zeros(6))
         assert np.array_equal(fw.path_s, np.zeros(6))
         assert fw.df == 5.0
         assert np.array_equal(fw.shape, np.eye(6))
-        assert fw.last_gen_best == problem.evaluate(fw.mean)
-    assert state.fireworks[0].df_factor == 1.05
-    assert state.fireworks[1].df_factor == 10.0
-    assert isinstance(state.params, StrategyParams)
-    assert state.params.lam == 30
+        assert np.array_equal(fw.eigvals, np.ones(6))
+        assert np.array_equal(fw.eigvecs, np.eye(6))
+        assert fw.last_gen_best == fw.best_fitness == problem.evaluate(fw.mean)
+    assert [fw.df_factor for fw in starts] == [1.05, 10.0, 1.05, 10.0]
+    assert len({fw.mean.tobytes() for fw in starts}) == 4
+    assert params_seen and all(isinstance(p, StrategyParams) for p in params_seen)
+    assert {p.lam for p in params_seen} == {30}
 
 
 def test_run_factorises_once_per_explosion(monkeypatch):
@@ -115,7 +147,6 @@ def _fw(improvement=0.0, gen_improvement=0.0, best_fitness=10.0):
         scale=1.0,
         last_gen_best=best_fitness,
         best_fitness=best_fitness,
-        best_position=np.zeros(2),
         improvement=improvement,
         gen_improvement=gen_improvement,
     )

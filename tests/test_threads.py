@@ -394,13 +394,21 @@ def test_failed_run_restores_blas_threads():
 
 def test_algorithms_start_fireworks_at_same_means():
     # one seed starts tfwa, its Gaussian limit and the uniform baseline at
-    # the same means, and every firework at a different one
+    # the same means, and every firework at a different one; in a cell of
+    # two runs each run starts where it starts on its own
     config = SwarmConfig(n_fireworks=3, df_factors=(1.05, 10.0, 2.0), seed=7, budget=400)
+    configs = [config, dataclasses.replace(config, seed=8)]
     starts = []
-    for runner in (run, gaussian_limit_run, uniform_fwa_run):
+    for cell in (run_cell, gaussian_limit_cell, uniform_fwa_cell):
         problem = _Problem(make_problem("sphere", 5, seed=0))
-        runner(problem, config)
-        starts.append(np.stack(problem.points[:3]))
+        cell(problem, configs)
+        starts.append(np.stack(problem.points[:6]))
+    alone = []
+    for c in configs:
+        problem = _Problem(make_problem("sphere", 5, seed=0))
+        run(problem, c)
+        alone += problem.points[:3]
+    assert np.array_equal(starts[0], np.stack(alone))
     assert np.array_equal(starts[0], starts[1])
     assert np.array_equal(starts[0], starts[2])
-    assert len({row.tobytes() for row in starts[0]}) == 3
+    assert len({row.tobytes() for row in starts[0]}) == 6
