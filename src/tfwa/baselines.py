@@ -7,7 +7,8 @@
   or growing hypercube around each firework, driven by the swarm's
   generation loop and loser-out tournament; isolates the contribution of
   the adapted t sampler.
-* ``random_search_run``: uniform sampling over the whole box.
+* ``random_search_run``: uniform sampling over the whole box, in its own
+  block loop, recorded through the swarm's run record.
 
 Each has a cell entry point (``gaussian_limit_cell``, ``uniform_fwa_cell``,
 ``random_search_cell``) that takes a problem and the configs of a grid
@@ -16,14 +17,15 @@ result per config, equal to the run's on its own.  The swarm's driver
 (``tfwa.swarm._drive``) seeds, starts and pins BLAS for the firework
 cells, so ``uniform_fwa_cell`` supplies only how to start, restart and
 explode a uniform firework, and one seed starts it at the t fireworks'
-means; random search keeps its own loop and BLAS pin.  Every runner needs
-only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the objective, and uses
-``evaluate_batch`` when it has one.
+means; random search keeps its own loop and BLAS pin, but keeps its
+best-so-far point, trace rows and result in the driver's run record
+(``tfwa.swarm._Run``), so a trace row means the same for all four.  Every
+runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the
+objective, and uses ``evaluate_batch`` when it has one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,10 +35,10 @@ from .explosion import _evaluate_all
 from .swarm import (
     RunResult,
     SwarmConfig,
-    TraceRecord,
     _cell_shape,
     _drive,
     _fresh_firework,
+    _Run,
     resolve_run_shape,
     run,
     run_cell,
@@ -157,23 +159,22 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
     """Uniform random search over the full box, one batch per generation.
 
     It spends no evaluation on starting points and has no tournament, so it
-    keeps its own loop rather than the swarm's generation driver.  Whole
-    generations are drawn and evaluated in blocks of up to ``BLOCK_COORDS``
-    coordinates.  Uniform draws fill the stream in order and an objective
-    evaluates each point on its own, so the result equals drawing and
-    evaluating one generation per call.
+    keeps its own loop rather than the swarm's generation driver, but holds
+    its run in the driver's run record (:class:`tfwa.swarm._Run`), which
+    tracks its best-so-far point, writes its trace rows and builds its
+    result.  Whole generations are drawn and evaluated in blocks of up to
+    ``BLOCK_COORDS`` coordinates.  Uniform draws fill the stream in order
+    and an objective evaluates each point on its own, so the result equals
+    drawing and evaluating one generation per call.
     """
     rng = np.random.default_rng(config.seed)
     n, lam, budget = resolve_run_shape(problem, config)
     batch = n * lam
     d = problem.dim
-    f_star = float(getattr(problem, "f_star", 0.0))
     box = float(problem.ub - problem.lb)
     block = max(1, BLOCK_COORDS // (batch * d))
     total = budget // batch
-    best_f = math.inf
-    best_x = None
-    trace = []
+    run = _Run([], float(getattr(problem, "f_star", 0.0)))
     g = 0
     while g < total:
         k = min(block, total - g)
@@ -183,34 +184,19 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
         gen_bests = fits[np.arange(k), picks]
         for j, (i, f) in enumerate(zip(picks.tolist(), gen_bests.tolist())):
             g += 1
-            if f < best_f:
-                best_f, best_x = f, xs[j * batch + i].copy()
-            trace.append(
-                TraceRecord(
-                    gen=g,
-                    fw=0,
-                    gap=f - f_star,
-                    df=0.0,
-                    scale=box,
-                    restart=False,
-                    best_gap=best_f - f_star,
-                )
-            )
-    return RunResult(
-        best_position=best_x,
-        best_fitness=best_f,
-        evals_used=g * batch,
-        generations=g,
-        trace=trace,
-    )
+            run.track(f, xs[j * batch + i])
+            run.record(g, 0, f, 0.0, box, False)
+    run.generations, run.evals = g, g * batch
+    return run.result()
 
 
 def random_search_cell(problem, configs) -> list:
     """One :func:`random_search_run` result per config.
 
     The configs may differ only in their seeds.  Each run keeps its own
-    loop: its block sampling already spreads the per-call cost over many
-    generations.
+    block loop and run record, one run after another: its block sampling
+    already spreads the per-call cost over many generations, so the
+    driver's shared generation loop would save nothing.
     """
     _cell_shape(problem, configs)
     return [random_search_run(problem, c) for c in configs]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
+
 _KERNELS = {}
 
 
@@ -128,6 +130,7 @@ class BenchmarkProblem:
         return self.shift.copy(), self.f_star
 
 
+@blas.one_thread()
 def _rotation_matrix(dim, rng):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(r))
@@ -150,7 +153,9 @@ def make_problem(
     The same ``(name, dim, seed)`` triple always yields the same shift and
     rotation.  The rotation comes from the QR factorisation of a seeded
     Gaussian matrix with the positive-diagonal sign convention, then the
-    determinant is corrected to +1.  Requires ``dim >= 2``.
+    determinant is corrected to +1.  Like a run, it is built with OpenBLAS
+    held at one thread (:func:`tfwa.blas.one_thread`): from d = 300 the
+    factorisation's bits depend on the thread count.  Requires ``dim >= 2``.
     """
     if name not in _KERNELS:
         raise ValueError(

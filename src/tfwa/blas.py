@@ -5,9 +5,11 @@ setter and a getter for its thread count.  Every run sets one thread on entry
 and restores the previous count on exit, for two reasons: at d >= 100
 OpenBLAS gives different bits at different thread counts, which would make a
 run's result depend on the machine, and where a burst is costly the
-generation driver explodes fireworks on threads of its own.
+generation driver explodes fireworks on threads of its own.  A problem's
+rotation is built at one thread too (:func:`one_thread`), since from
+d >= 300 its bits depend on the thread count as well.
 
-The library is looked up on the first run, not at import.  Where it or its
+The library is looked up on first use, not at import.  Where it or its
 symbols are missing, :func:`threads` returns ``None`` and the pin does
 nothing.
 
@@ -110,12 +112,8 @@ def keep_heap() -> None:
 
 
 @contextmanager
-def run_settings():
-    """Run the body with one BLAS thread, then restore the previous count.
-
-    On entry it also applies :func:`keep_heap`, which is never undone.
-    """
-    keep_heap()
+def one_thread():
+    """Run the body with one BLAS thread, then restore the previous count."""
     previous = threads()
     set_threads(1)
     try:
@@ -123,3 +121,12 @@ def run_settings():
     finally:
         if previous is not None:
             set_threads(previous)
+
+
+@contextmanager
+def run_settings():
+    """A run's settings: :func:`keep_heap`, which is never undone, then
+    :func:`one_thread` for the body."""
+    keep_heap()
+    with one_thread():
+        yield

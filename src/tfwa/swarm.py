@@ -5,12 +5,13 @@ full generation each firework is checked against the current leader: if
 its recent per-generation improvement, extrapolated over the remaining
 generations, cannot close the gap between its own all-time best and the
 best current firework fitness, it is thrown out and restarted from a fresh
-uniform position.  The driver owns the budget, the tournament, best-so-far
-tracking and the trace; an algorithm supplies only how to start, restart
-and explode its fireworks, so the t firework here and the baselines share
-the same seeding and accounting.  Each t firework carries its own
-degree-of-freedom growth factor, so one can anneal to Gaussian sampling
-quickly while another keeps heavy tails for longer.
+uniform position.  The driver owns the budget and the tournament, and its
+run record (``_Run``) the best-so-far tracking, the trace rows and the
+result, for random search's own loop too; an algorithm supplies only how to
+start, restart and explode its fireworks, so the t firework here and the
+baselines share the same seeding and accounting.  Each t firework carries
+its own degree-of-freedom growth factor, so one can anneal to Gaussian
+sampling quickly while another keeps heavy tails for longer.
 
 Each firework draws from its own generator, which the driver spawns from
 the run's seed, so its explosions do not depend on one another.  The driver
@@ -312,12 +313,14 @@ def _chunks(items, parts):
 
 
 class _Run:
-    """One run's share of :func:`_drive`: its fireworks, evaluation count,
-    best-so-far point, trace, and the number ``k`` of its fireworks that
-    explode in the current generation."""
+    """One run's record: its fireworks, evaluation count, best-so-far point,
+    trace and last generation, and the number ``k`` of its fireworks that
+    explode in the current generation.  Every algorithm's run writes its
+    trace rows through :meth:`record`, against the problem's ``f_star``."""
 
-    def __init__(self, fireworks):
+    def __init__(self, fireworks, f_star):
         self.fireworks = fireworks
+        self.f_star = f_star
         self.evals = len(fireworks)
         self.best_f, self.best_x = math.inf, None
         self.trace = []
@@ -331,6 +334,13 @@ class _Run:
         if f < self.best_f:
             self.best_f, self.best_x = float(f), x.copy()
 
+    def record(self, g, i, f, df, scale, restart):
+        """Append firework ``i``'s row for generation ``g``, whose fitness is
+        ``f``; its best gap is the run's best-so-far at this point."""
+        self.trace.append(
+            TraceRecord(g, i, f - self.f_star, df, scale, restart, self.best_f - self.f_star)
+        )
+
     def restart(self, i, fresh):
         fw = self.fireworks[i] = fresh(self.fireworks[i])
         self.evals += 1
@@ -338,13 +348,7 @@ class _Run:
         self.restarted.add(i)
 
     def result(self) -> RunResult:
-        return RunResult(
-            best_position=self.best_x,
-            best_fitness=self.best_f,
-            evals_used=self.evals,
-            generations=self.generations,
-            trace=self.trace,
-        )
+        return RunResult(self.best_x, self.best_f, self.evals, self.generations, self.trace)
 
 
 @blas.run_settings()
@@ -394,15 +398,15 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     among others, give the same result.
     """
     n, eps = configs[0].n_fireworks, configs[0].eps
+    f_star = float(getattr(problem, "f_star", 0.0))
     runs = [
-        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(c.seed).spawn(n))])
+        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(c.seed).spawn(n))], f_star)
         for c in configs
     ]
     workers = min(n * len(runs), _cores())
     explode_all = burst
     burst_s = math.inf  # the cheapest mean time per firework of the timed generations
     g_max = (budget - n) // (n * lam)
-    f_star = float(getattr(problem, "f_star", 0.0))
 
     def settle(run, outcomes, g):
         run.restarted = set()
@@ -429,17 +433,7 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
 
         for i in range(run.k):
             fw = fireworks[i]
-            run.trace.append(
-                TraceRecord(
-                    gen=g,
-                    fw=i,
-                    gap=fw.last_gen_best - f_star,
-                    df=fw.df,
-                    scale=fw.scale,
-                    restart=i in run.restarted,
-                    best_gap=run.best_f - f_star,
-                )
-            )
+            run.record(g, i, fw.last_gen_best, fw.df, fw.scale, i in run.restarted)
         if run.k:
             run.generations = g
 

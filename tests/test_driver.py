@@ -4,9 +4,11 @@ The t firework, its Gaussian limit and the uniform fireworks baseline share
 one generation driver (budget check, best-so-far tracking, trace rows and
 the loser-out tournament of Li & Tan, "Loser-Out Tournament-Based Fireworks
 Algorithm for Multimodal Function Optimization", IEEE TEVC 2018); random
-search keeps its own loop.  These checks hold for all four on any box, and
-for objectives that return NaN, which count as +inf.  A cell's runs go
-through one generation loop, and each gives the result it gives on its own.
+search keeps its own loop but records its run through the driver's run
+record.  These checks hold for all four on any box, for objectives whose
+optimum is not 0, and for objectives that return NaN, which count as +inf.
+A cell's runs go through one generation loop, and each gives the result it
+gives on its own.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import tfwa.swarm as swarm_mod
@@ -70,6 +72,26 @@ def test_asymmetric_box_keeps_optimum_and_starts_inside(runner):
     _assert_in_box(recording.all_points(), 5.0, 10.0)
 
 
+class _Lowered:
+    """A problem whose values are all lowered by 3.5, so its optimum is
+    ``f_star = -3.5``; it keeps the problem's box and optimum point."""
+
+    f_star = -3.5
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim, self.lb, self.ub = problem.dim, problem.lb, problem.ub
+
+    def evaluate(self, x):
+        return self.problem.evaluate(x) + self.f_star
+
+    def evaluate_batch(self, xs):
+        return self.problem.evaluate_batch(xs) + self.f_star
+
+    def optimum(self):
+        return self.problem.optimum()[0], self.f_star
+
+
 @hst.composite
 def _cases(draw):
     lb = draw(hst.floats(-1e3, 1e3))
@@ -85,12 +107,15 @@ def _cases(draw):
     )
     name = draw(hst.sampled_from(["sphere", "rastrigin", "rosenbrock"]))
     problem = make_problem(name, draw(hst.integers(2, 5)), seed=0, lb=lb, ub=ub)
+    if draw(hst.booleans()):
+        problem = _Lowered(problem)
     return problem, config
 
 
 @pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
 @settings(max_examples=20, deadline=None)
 @given(case=_cases())
+@example(case=(_Lowered(make_problem("rastrigin", 3, seed=0)), SwarmConfig(seed=0, budget=300)))
 def test_run_invariants(runner, case):
     problem, config = case
     recording = _Recording(problem)
@@ -103,6 +128,8 @@ def test_run_invariants(runner, case):
 
     gaps = [r.best_gap for r in result.trace]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+    assert all(r.best_gap <= r.gap for r in result.trace)
+    assert result.trace[-1].best_gap == result.best_fitness - problem.f_star
 
     assert result.trace[-1].gen == result.generations
     rows = {}

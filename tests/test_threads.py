@@ -360,6 +360,34 @@ def test_d100_trace_ignores_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+_D300_ROTATION_SCRIPT = """
+import hashlib
+from tfwa.benchfns import make_problem
+
+print(hashlib.sha256(make_problem("sphere", 300, seed=0).rotation.tobytes()).hexdigest())
+"""
+
+
+def test_d300_problem_ignores_blas_thread_count():
+    # from d = 300 OpenBLAS's QR gives different bits at one and two threads,
+    # so the instance itself would depend on the machine without the pin
+    digests = []
+    for count in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count, PYTHONPATH=str(SRC))
+        env.pop("OMP_NUM_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _D300_ROTATION_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        digests.append(proc.stdout)
+    assert len(digests[0].strip()) == 64
+    assert digests[0] == digests[1]
+
+
 @needs_blas
 @pytest.mark.parametrize(
     "runner",
