@@ -35,7 +35,8 @@ class DegenerateStateError(RuntimeError):
     Raised when the shape matrix or step size collapses to something that
     cannot be factorised.  Callers restart the firework.  When the failure
     happens after the sparks were already evaluated, the evaluated positions
-    and fitnesses ride along so the caller can keep its bookkeeping exact.
+    and fitnesses ride along, sorted best first as :func:`explode` returns
+    them, so the caller can keep its bookkeeping exact.
     """
 
     def __init__(self, message, sparks=None, fitnesses=None):
@@ -289,33 +290,34 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
 
     order = np.argsort(fits, kind="stable")
     xs, fits = xs[order], fits[order]
-    # rank weights past the first mu are zero, so only the leading sparks
-    # enter the recombination
-    top = xs[:mu]
-    fused = fuse_weights(params.raw_weights[:mu], natgrad_weight(s[order[:mu]], d, state.df))
-
-    mean_new = top.T @ fused
-    delta_m = mean_new - state.mean
-
-    dev = (top - state.mean) / state.scale
-    base = 1.0 - c_1a - params.c_mu * float(fused.sum())
-    shape_new = (
-        base * state.shape
-        + params.c_1 * np.outer(state.path_c, state.path_c)
-        + params.c_mu * (dev.T * fused) @ dev
-    )
-
-    path_c_new = (1.0 - params.c_c) * state.path_c + c_cn * h_gate * delta_m
-    # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
-    coef = state.eigvecs.T @ delta_m
-    back = state.eigvecs @ (coef / (state.eigvals if params.literal_psigma else root))
-    path_s_new = (1.0 - params.c_s) * state.path_s + c_sn * back
-
-    scale_new = state.scale * math.exp(
-        min(1.0, 0.5 * params.c_n * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
-    )
-
+    # any failure from here on carries the evaluated sparks
     try:
+        # rank weights past the first mu are zero, so only the leading sparks
+        # enter the recombination
+        top = xs[:mu]
+        fused = fuse_weights(params.raw_weights[:mu], natgrad_weight(s[order[:mu]], d, state.df))
+
+        mean_new = top.T @ fused
+        delta_m = mean_new - state.mean
+
+        dev = (top - state.mean) / state.scale
+        base = 1.0 - c_1a - params.c_mu * float(fused.sum())
+        shape_new = (
+            base * state.shape
+            + params.c_1 * np.outer(state.path_c, state.path_c)
+            + params.c_mu * (dev.T * fused) @ dev
+        )
+
+        path_c_new = (1.0 - params.c_c) * state.path_c + c_cn * h_gate * delta_m
+        # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
+        coef = state.eigvecs.T @ delta_m
+        back = state.eigvecs @ (coef / (state.eigvals if params.literal_psigma else root))
+        path_s_new = (1.0 - params.c_s) * state.path_s + c_sn * back
+
+        scale_new = state.scale * math.exp(
+            min(1.0, 0.5 * params.c_n * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
+        )
+
         shape_new, vals_new, vecs_new = regularize_covariance(shape_new)
     except DegenerateStateError as exc:
         exc.sparks, exc.fitnesses = xs, fits

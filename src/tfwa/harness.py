@@ -357,13 +357,12 @@ def run_experiment(config: ExperimentConfig):
     is a contiguous chunk of one cell's repetitions (see the module
     docstring).  Each run's trace is serialised in the process that ran
     it, a worker when ``config.workers > 1`` and there is more than one
-    job; a worker's runs
-    explode fireworks on threads only from its share of the cores
-    (``swarm._cores``).  A trace line spells floats as ``float.__repr__``
-    does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
-    booleans as ``true``/``false``, exactly as ``json.dumps`` would.  Reruns
-    with the same configuration produce byte-identical files, whatever the
-    worker count.
+    job; a worker's runs explode fireworks on threads only from its share
+    of the cores (``swarm._cores``).  A trace line spells floats as
+    ``float.__repr__`` does (``NaN``, ``Infinity`` and ``-Infinity`` when
+    not finite) and booleans as ``true``/``false``, exactly as
+    ``json.dumps`` would.  Reruns with the same configuration produce
+    byte-identical files, whatever the worker count.
     """
     validate_experiment(config)
     traced = config.out_dir is not None
@@ -483,25 +482,38 @@ def _tuples(data):
     return {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
 
 
-def _cmd_run(args):
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-    # every field but swarm has a flag under its own name
-    for name in (f.name for f in fields(ExperimentConfig)):
-        if getattr(args, name, None) is not None:
-            data[name] = getattr(args, name)
+def load_experiment(path) -> ExperimentConfig:
+    """The experiment a JSON file with ``config.json``'s keys describes.
+
+    A key left out takes the dataclass default; a key that is not an
+    ``ExperimentConfig`` field, or a ``swarm`` key that is not a
+    ``SwarmConfig`` field, raises ``TypeError``.  The values are checked
+    when the grid runs (:func:`validate_experiment`).
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
     swarm = data.pop("swarm", {})
     if not isinstance(swarm, dict):
         raise ValueError("swarm must hold a JSON object")
+    return ExperimentConfig(**_tuples(data), swarm=SwarmConfig(**_tuples(swarm)))
+
+
+def _cmd_run(args):
+    config = load_experiment(args.config) if args.config else ExperimentConfig()
+    # every field but swarm has a flag under its own name
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    swarm = {}
     if args.eps is not None:
         swarm["eps"] = args.eps
     if args.literal_psigma:
         swarm["literal_psigma"] = True
-    config = ExperimentConfig(**_tuples(data), swarm=SwarmConfig(**_tuples(swarm)))
+    config = replace(config, **_tuples(flags), swarm=replace(config.swarm, **swarm))
     if config.out_dir is None:
         raise ValueError("an output directory is required (--out or out_dir in the config file)")
     _, summary = run_experiment(config)

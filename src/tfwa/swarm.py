@@ -368,8 +368,10 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     ``burst(fws)``, which takes a list of fireworks, from any runs, and
     returns one outcome per firework in order: the generation's best spark
     and its fitness, or the :class:`DegenerateStateError` the explosion
-    raised.  A burst updates each firework in place and draws only from
-    that firework's own generator.  A firework whose explosion failed is
+    raised; an error that carries the evaluated sparks, best first, costs
+    the run ``lam`` evaluations and offers it the first spark.  A burst
+    updates each firework in place and draws only from that firework's own
+    generator.  A firework whose explosion failed is
     replaced by ``fresh(fw)`` (a new firework, one evaluation); after a
     complete generation the loser-out tournament replaces its losers the
     same way.
@@ -414,8 +416,7 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
             if isinstance(outcome, DegenerateStateError):
                 if outcome.fitnesses is not None:
                     run.evals += lam
-                    j = int(outcome.fitnesses.argmin())
-                    run.track(outcome.fitnesses[j], outcome.sparks[j])
+                    run.track(outcome.fitnesses[0], outcome.sparks[0])
                 run.restart(i, fresh)
             else:
                 run.evals += lam

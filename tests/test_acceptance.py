@@ -9,16 +9,23 @@ checklist and a hard gate.
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 from scipy import stats
 
-from tfwa.baselines import gaussian_limit_run, random_search_run, uniform_fwa_run
+from tfwa.baselines import (
+    gaussian_limit_cell,
+    gaussian_limit_run,
+    random_search_run,
+    uniform_fwa_run,
+)
 from tfwa.benchfns import make_problem
 from tfwa.explosion import adjust_degree_of_freedom
 from tfwa.harness import (
     ExperimentConfig,
+    load_experiment,
     run_experiment,
     wilcoxon_rank_sum,
     win_lose_tie,
@@ -33,6 +40,7 @@ from tfwa.natgrad import (
 from tfwa.swarm import SwarmConfig, run
 from tfwa.tdist import DF_CAP, TDistribution
 
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 GRID_DIMS = (1, 2, 3)
 GRID_DFS = (3.0, 5.0, 10.0)
 
@@ -53,19 +61,25 @@ def _grid_dist(d, df):
     return TDistribution(np.zeros(d), _seeded_spd(d, 100 + 10 * d + int(df)), df)
 
 
-def _success_count(problem, runner, reps=30, tol=1e-8):
-    hits = 0
-    for rep in range(reps):
-        result = runner(problem, SwarmConfig(seed=rep))
-        if result.best_fitness - problem.f_star <= tol:
-            hits += 1
-    return hits
+def _experiment_gaps(name, suite, algos):
+    """``{(problem, algo): [best_gap, ...]}`` of the committed experiment
+    ``name``, run in memory, once its file is checked to hold the 10-D,
+    30-repetition, seed-0 grid of ``suite`` and ``algos`` at the default
+    budget and swarm settings, so that no edit of it can weaken a criterion."""
+    config = load_experiment(EXPERIMENTS / name)
+    assert config == ExperimentConfig(
+        suite=suite, dims=(10,), algos=algos, reps=30, budget_multiplier=10000, base_seed=0
+    )
+    gaps = {}
+    for row in run_experiment(config)[0]:
+        gaps.setdefault((row["problem"], row["algo"]), []).append(row["best_gap"])
+    return gaps
 
 
 def test_criterion_1_unimodal_convergence():
+    gaps = _experiment_gaps("unimodal-d10.json", ("sphere", "elliptic"), ("tfwa",))
     hits = {
-        name: _success_count(make_problem(name, 10, seed=0), run)
-        for name in ("sphere", "elliptic")
+        name: sum(gap <= 1e-8 for gap in gaps[name, "tfwa"]) for name in ("sphere", "elliptic")
     }
     ok = all(count >= 27 for count in hits.values())
     _verdict(
@@ -151,7 +165,9 @@ def _weight_ratio(df):
 def test_criterion_5_gaussian_degeneration():
     ratio, ratio_cap = _weight_ratio(1.0e8), _weight_ratio(DF_CAP)
 
-    hits = _success_count(make_problem("sphere", 10, seed=0), gaussian_limit_run)
+    problem = make_problem("sphere", 10, seed=0)
+    results = gaussian_limit_cell(problem, [SwarmConfig(seed=rep) for rep in range(30)])
+    hits = sum(r.best_fitness - problem.f_star <= 1e-8 for r in results)
     ok = ratio < 1.001 and ratio_cap < 1.001 and hits >= 27
     _verdict(
         5,
@@ -218,14 +234,10 @@ def test_criterion_6_harness_invariants(tmp_path):
 
 
 def test_criterion_7_multimodal_paired_comparison():
-    problem = make_problem("rastrigin", 10, seed=0)
-    t_gaps = []
-    u_gaps = []
-    for rep in range(30):
-        t_gaps.append(run(problem, SwarmConfig(seed=rep)).best_fitness - problem.f_star)
-        u_gaps.append(
-            uniform_fwa_run(problem, SwarmConfig(seed=rep)).best_fitness - problem.f_star
-        )
+    gaps = _experiment_gaps(
+        "rastrigin-d10-t-vs-uniform.json", ("rastrigin",), ("tfwa", "uniform-fwa")
+    )
+    t_gaps, u_gaps = gaps["rastrigin", "tfwa"], gaps["rastrigin", "uniform-fwa"]
     med_t = float(np.median(t_gaps))
     med_u = float(np.median(u_gaps))
     _, p = wilcoxon_rank_sum(t_gaps, u_gaps)

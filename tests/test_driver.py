@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import tfwa.explosion as explosion_mod
 import tfwa.swarm as swarm_mod
 from tfwa.baselines import (
     gaussian_limit_cell,
@@ -29,6 +30,7 @@ from tfwa.baselines import (
     uniform_fwa_run,
 )
 from tfwa.benchfns import make_problem
+from tfwa.explosion import DegenerateStateError
 from tfwa.swarm import SwarmConfig, run, run_cell
 
 RUNNERS = [run, gaussian_limit_run, uniform_fwa_run, random_search_run]
@@ -70,6 +72,27 @@ def test_asymmetric_box_keeps_optimum_and_starts_inside(runner):
     recording = _Recording(problem)
     runner(recording, SwarmConfig(seed=0, budget=400))
     _assert_in_box(recording.all_points(), 5.0, 10.0)
+
+
+def test_failed_weight_fusion_charges_its_evaluated_sparks(monkeypatch):
+    # weight fusion comes after the sparks are evaluated, so a failure there
+    # must charge them to the run, as a failure in the shape update does
+    real_fuse = explosion_mod.fuse_weights
+    calls = {"n": 0}
+
+    def flaky(rank_w, natural_w):
+        calls["n"] += 1
+        if calls["n"] % 7 == 0:
+            raise DegenerateStateError("forced fusion failure")
+        return real_fuse(rank_w, natural_w)
+
+    monkeypatch.setattr(explosion_mod, "fuse_weights", flaky)
+    recording = _Recording(make_problem("sphere", 5, seed=0))
+    config = SwarmConfig(seed=0, budget=2000)
+    result = run(recording, config)
+    assert calls["n"] >= 7
+    assert result.evals_used == len(recording.all_points())
+    assert result.evals_used <= config.budget + config.n_fireworks
 
 
 class _Lowered:

@@ -20,12 +20,15 @@ from tfwa.harness import (
     RESULT_FIELDS,
     ExperimentConfig,
     _trace_jsonl,
+    load_experiment,
     main,
     run_experiment,
     validate_experiment,
 )
 from tfwa.swarm import SwarmConfig, TraceRecord
 from tfwa.tdist import DF_CAP
+
+EXPERIMENTS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.json"))
 
 SMALL = dict(
     suite=("sphere", "rastrigin"),
@@ -450,6 +453,16 @@ def test_cli_config_file_rejects_unknown_key(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=[p.stem for p in EXPERIMENTS])
+def test_committed_experiment_loads_and_validates(tmp_path, path):
+    validate_experiment(load_experiment(path))
+    # a key that is not a field is an error, not a silent default
+    copy = tmp_path / path.name
+    copy.write_text(json.dumps({**json.loads(path.read_text()), "repetitions": 30}))
+    with pytest.raises(TypeError, match="repetitions"):
+        load_experiment(copy)
 
 
 @pytest.mark.parametrize(
