@@ -9,8 +9,8 @@ seeded runs and writes four artifacts into the output directory:
 * ``config.json`` echoing the resolved configuration, which ``run --config``
   reads back to rerun the grid
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
-  generation per firework: ``gen,fw,gap,df,scale,restart``, serialised by
-  :func:`_trace_jsonl` in the process that ran it
+  generation per firework: ``gen,fw,gap,df,scale,restart,best_gap``,
+  serialised by :func:`_trace_jsonl` in the process that ran it
 
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
@@ -255,15 +255,18 @@ def _json_number(x):
 def _trace_jsonl(trace) -> str:
     """A run's trace as JSONL text, one ``json.dumps`` object per record.
 
-    Each line is byte for byte ``json.dumps({"gen": ..., "fw": ..., "gap":
-    ..., "df": ..., "scale": ..., "restart": ...}) + "\\n"``: floats as
-    ``float.__repr__`` gives them, ``NaN``, ``Infinity`` and ``-Infinity``
-    for the non-finite ones, and ``true``/``false`` for ``restart``.
+    Each line is byte for byte ``json.dumps`` of the record's fields in
+    :class:`~tfwa.swarm.TraceRecord` order, ``{"gen": ..., "fw": ...,
+    "gap": ..., "df": ..., "scale": ..., "restart": ..., "best_gap": ...}``,
+    plus ``"\\n"``: floats as ``float.__repr__`` gives them, ``NaN``,
+    ``Infinity`` and ``-Infinity`` for the non-finite ones, and
+    ``true``/``false`` for ``restart``.
     """
     return "".join(
         f'{{"gen": {rec.gen}, "fw": {rec.fw}, "gap": {_json_number(rec.gap)}, '
         f'"df": {_json_number(rec.df)}, "scale": {_json_number(rec.scale)}, '
-        f'"restart": {"true" if rec.restart else "false"}}}\n'
+        f'"restart": {"true" if rec.restart else "false"}, '
+        f'"best_gap": {_json_number(rec.best_gap)}}}\n'
         for rec in trace
     )
 
@@ -353,19 +356,23 @@ def run_experiment(config: ExperimentConfig):
     Result rows are dicts following ``RESULT_FIELDS``, ordered by
     (problem, dim, algo, rep) with suite/dims/algos kept in the configured
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
-    ``summary.csv``, ``config.json`` and per-run trace JSONL files.  A job
-    is a contiguous chunk of one cell's repetitions (see the module
-    docstring).  Each run's trace is serialised in the process that ran
-    it, a worker when ``config.workers > 1`` and there is more than one
-    job; a worker's runs explode fireworks on threads only from its share
-    of the cores (``swarm._cores``).  A trace line spells floats as
-    ``float.__repr__`` does (``NaN``, ``Infinity`` and ``-Infinity`` when
-    not finite) and booleans as ``true``/``false``, exactly as
-    ``json.dumps`` would.  Reruns with the same configuration produce
+    ``summary.csv``, ``config.json`` and per-run trace JSONL files; the
+    directory is made before the first run, so a path that cannot be one
+    raises ``OSError`` before any run.  A job is a contiguous chunk of one
+    cell's repetitions (see the module docstring).  Each run's trace is
+    serialised in the process that ran it, a worker when ``config.workers >
+    1`` and there is more than one job; a worker's runs explode fireworks
+    on threads only from its share of the cores (``swarm._cores``).  A
+    trace line spells floats as ``float.__repr__`` does (``NaN``,
+    ``Infinity`` and ``-Infinity`` when not finite) and booleans as
+    ``true``/``false``, exactly as ``json.dumps`` would.  Reruns with the same configuration produce
     byte-identical files, whatever the worker count.
     """
     validate_experiment(config)
     traced = config.out_dir is not None
+    if traced:
+        # a path that cannot be a directory fails here, not after the grid ran
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     cells = [
         (name, dim, algo) for name in config.suite for dim in config.dims for algo in config.algos
     ]
@@ -437,7 +444,6 @@ def _summarise(rows):
 
 def _write_outputs(config, rows, summary, traces):
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
         writer.writeheader()

@@ -196,7 +196,7 @@ def _fresh_t_firework(problem, config: SwarmConfig, df_factor, rng) -> FireworkS
         # the eigenpair of the identity, exactly as eigh returns it
         eigvals=np.ones(d),
         eigvecs=np.eye(d),
-        df=config.df_init,
+        df=float(config.df_init),
         df_factor=float(df_factor),
         path_c=np.zeros(d),
         path_s=np.zeros(d),

@@ -8,11 +8,15 @@ search keeps its own loop but records its run through the driver's run
 record.  These checks hold for all four on any box, for objectives whose
 optimum is not 0, and for objectives that return NaN, which count as +inf.
 A cell's runs go through one generation loop, and each gives the result it
-gives on its own.
+gives on its own, and a grid's trace files hold each run's trace records
+exactly.
 """
 
+import csv
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import tfwa.explosion as explosion_mod
+import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
 from tfwa.baselines import (
     gaussian_limit_cell,
@@ -31,7 +36,8 @@ from tfwa.baselines import (
 )
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
-from tfwa.swarm import SwarmConfig, run, run_cell
+from tfwa.harness import ExperimentConfig, run_experiment
+from tfwa.swarm import SwarmConfig, TraceRecord, run, run_cell
 
 RUNNERS = [run, gaussian_limit_run, uniform_fwa_run, random_search_run]
 CELLS = [run_cell, gaussian_limit_cell, uniform_fwa_cell, random_search_cell]
@@ -209,6 +215,48 @@ def test_nan_fitness_counts_as_worst(runner, nan_above):
         assert result.best_fitness == min(problem.finite)
     else:
         assert result.best_fitness == math.inf
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+_TRACE_FIELDS = [f.name for f in dataclasses.fields(TraceRecord)]
+_TRACE_FLOATS = {"gap", "df", "scale", "best_gap"}
+
+
+@pytest.mark.parametrize("objective", ["lowered", "nan-part", "nan-all"])
+@pytest.mark.parametrize("algo, runner", list(zip(RUNNER_IDS, RUNNERS)), ids=RUNNER_IDS)
+def test_trace_lines_are_the_run_records(tmp_path, monkeypatch, algo, runner, objective):
+    # each trace line holds its record's fields in order, floats bit for bit,
+    # and its last line's best gap is the one results.csv reports
+    def objective_for(name, dim, seed):
+        if objective == "lowered":
+            return _Lowered(make_problem(name, dim, seed=seed))
+        return _NanSphere(dim, 20.0 if objective == "nan-part" else -math.inf)
+
+    monkeypatch.setattr(harness_mod, "make_problem", objective_for)
+    out = tmp_path / "out"
+    grid = dict(suite=("sphere",), dims=(3,), algos=(algo,), reps=2, budget_multiplier=100)
+    run_experiment(ExperimentConfig(out_dir=str(out), **grid))
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        result = runner(objective_for("sphere", 3, 0), SwarmConfig(seed=int(row["seed"]), budget=300))
+        path = out / "traces" / f"sphere_d3_{algo}_rep{row['rep']}.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(result.trace)
+        for line, rec in zip(lines, result.trace):
+            assert list(line) == _TRACE_FIELDS
+            for name in _TRACE_FIELDS:
+                value = getattr(rec, name)
+                if name in _TRACE_FLOATS:
+                    assert type(line[name]) is float, (name, line)
+                    assert _bits(line[name]) == _bits(value), (name, line)
+                else:
+                    assert type(line[name]) is type(value) and line[name] == value, (name, line)
+        assert _bits(float(row["best_gap"])) == _bits(lines[-1]["best_gap"])
 
 
 class _ScalarOnly:

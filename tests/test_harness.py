@@ -173,7 +173,7 @@ def test_run_experiment_files(tmp_path):
         assert lines
         for line in lines:
             rec = json.loads(line)
-            assert list(rec.keys()) == ["gen", "fw", "gap", "df", "scale", "restart"]
+            assert list(rec.keys()) == ["gen", "fw", "gap", "df", "scale", "restart", "best_gap"]
 
 
 def test_run_experiment_deterministic_files(tmp_path):
@@ -251,7 +251,7 @@ _TRACE_NUMBERS = hst.one_of(
     hst.sampled_from(_SPECIAL_FLOATS),
     hst.sampled_from(_SPECIAL_FLOATS).map(np.float64),
     hst.floats().map(np.float64),
-    # a df_init given as a JSON integer stays an int until df first grows
+    # json.dumps spells an int without a decimal point, whichever field holds it
     hst.integers(min_value=2, max_value=2**30),
 )
 
@@ -282,6 +282,7 @@ def test_trace_jsonl_matches_json_dumps(records):
                 "df": rec.df,
                 "scale": rec.scale,
                 "restart": rec.restart,
+                "best_gap": rec.best_gap,
             }
         )
         + "\n"
@@ -532,6 +533,39 @@ def test_cli_config_file_rejects_mistyped_values(
     assert code == 2
     assert message in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_run_rejects_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch, below):
+    # such an --out once ran the whole grid and only then failed to write
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    made = []
+    real = tfwa.harness.make_problem
+    monkeypatch.setattr(tfwa.harness, "make_problem", lambda *args: made.append(args) or real(*args))
+    out = blocker / "x" if below else blocker
+    argv = ["run", "--suite", "sphere", "--dims", "2", "--algos", "random-search", "--reps", "2"]
+    code = main([*argv, "--budget-mult", "100", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert made == []
+    assert blocker.read_text() == "not a directory"
+
+
+def test_integer_df_init_writes_the_same_trace(tmp_path, capsys):
+    # an int df_init once reached restarted fireworks' rows as "df": 5
+    outs = []
+    for df_init in (5, 5.0):
+        out = tmp_path / f"df{df_init!r}"
+        cfg_path = tmp_path / f"df{df_init!r}.json"
+        grid = {"suite": ["sphere"], "dims": [2], "reps": 1, "budget_multiplier": 100}
+        cfg_path.write_text(json.dumps({**grid, "swarm": {"df_init": df_init}}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        assert repr(echo["swarm"]["df_init"]) == repr(df_init)
+        outs.append((out / "traces" / "sphere_d2_tfwa_rep0.jsonl").read_bytes())
+    assert outs[0] == outs[1]
+    assert b'"restart": true' in outs[0]
 
 
 def test_run_experiment_rejects_path_out_dir(tmp_path):
