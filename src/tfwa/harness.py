@@ -10,13 +10,16 @@ seeded runs and writes four artifacts into the output directory:
   reads back to rerun the grid
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
   generation per firework: ``gen,fw,gap,df,scale,restart,best_gap``,
-  serialised by :func:`_trace_jsonl` in the process that ran it
+  serialised by :func:`_trace_jsonl` and written by the process that ran
+  it, as soon as its job's runs end
 
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
 runner.  When there are fewer cells than workers, each cell is split into
 ``ceil(workers / cells)`` contiguous chunks of repetitions, so that no
-worker sits idle; the rows are reassembled in grid order.
+worker sits idle; the rows are reassembled in grid order.  Only each run's
+four numbers come back from a job, so the parent holds rows, not traces,
+and writes the three grid files once every job has returned.
 
 ``compare`` applies the rank-sum test per function between two results
 files of one algorithm each; ``rank`` averages per-function ranks of mean gaps across any number
@@ -273,23 +276,27 @@ def _trace_jsonl(trace) -> str:
 
 def _run_cells(job):
     """Run one job, a contiguous chunk of one cell's repetitions; returns one
-    ``(best_gap, evals, generations, restarts, trace_text)`` per run.
+    ``(best_gap, evals, generations, restarts)`` per run.
 
-    ``trace_text`` is the run's trace as JSONL, or ``None`` when the job
-    writes no trace.  Serialising here, in the process that ran the job,
-    means a worker sends back one string per run instead of every trace
-    record.
+    When the job's ``out_dir`` is not ``None``, each run's trace is written
+    to ``out_dir/traces/`` here, in the process that ran it, as soon as the
+    cell runner returns, so no trace crosses a worker pool and the grid's
+    parent never holds one.
     """
-    problem_args, algo, configs, traced = job
+    problem_args, algo, configs, out_dir = job
     problem = make_problem(*problem_args)
     results = globals()[_RUNNERS[algo]](problem, configs)
+    if out_dir is not None:
+        name, dim, base_seed = problem_args
+        for cfg, result in zip(configs, results):
+            path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{cfg.seed - base_seed}.jsonl")
+            path.write_text(_trace_jsonl(result.trace))
     return [
         (
             result.best_fitness - problem.f_star,
             result.evals_used,
             result.generations,
             result.restarts,
-            _trace_jsonl(result.trace) if traced else None,
         )
         for result in results
     ]
@@ -357,22 +364,25 @@ def run_experiment(config: ExperimentConfig):
     (problem, dim, algo, rep) with suite/dims/algos kept in the configured
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
     ``summary.csv``, ``config.json`` and per-run trace JSONL files; the
-    directory is made before the first run, so a path that cannot be one
-    raises ``OSError`` before any run.  A job is a contiguous chunk of one
-    cell's repetitions (see the module docstring).  Each run's trace is
-    serialised in the process that ran it, a worker when ``config.workers >
-    1`` and there is more than one job; a worker's runs explode fireworks
-    on threads only from its share of the cores (``swarm._cores``).  A
-    trace line spells floats as ``float.__repr__`` does (``NaN``,
-    ``Infinity`` and ``-Infinity`` when not finite) and booleans as
-    ``true``/``false``, exactly as ``json.dumps`` would.  Reruns with the same configuration produce
-    byte-identical files, whatever the worker count.
+    directory and its ``traces/`` are made before the first run, so a path
+    that cannot be one raises ``OSError`` before any run.  A job is a
+    contiguous chunk of one cell's repetitions (see the module docstring).
+    Each run's trace is written by the process that ran it, a worker when
+    ``config.workers > 1`` and there is more than one job, as soon as its
+    job's runs end; the other three files are written once every job has
+    returned, so a grid that raises part-way can leave the traces of
+    finished jobs and no ``results.csv``.  A worker's runs explode
+    fireworks on threads only from its share of the cores
+    (``swarm._cores``).  A trace line spells floats as ``float.__repr__``
+    does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
+    booleans as ``true``/``false``, exactly as ``json.dumps`` would.
+    Reruns with the same configuration produce byte-identical files,
+    whatever the worker count.
     """
     validate_experiment(config)
-    traced = config.out_dir is not None
-    if traced:
+    if config.out_dir is not None:
         # a path that cannot be a directory fails here, not after the grid ran
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        Path(config.out_dir, "traces").mkdir(parents=True, exist_ok=True)
     cells = [
         (name, dim, algo) for name in config.suite for dim in config.dims for algo in config.algos
     ]
@@ -383,7 +393,7 @@ def run_experiment(config: ExperimentConfig):
     for name, dim, algo in cells:
         configs = [_run_config(config, dim, rep) for rep in range(config.reps)]
         for chunk in _chunks(configs, parts):
-            jobs.append(((name, dim, config.base_seed), algo, chunk, traced))
+            jobs.append(((name, dim, config.base_seed), algo, chunk, config.out_dir))
 
     processes = min(config.workers, len(jobs))
     if processes > 1:
@@ -396,10 +406,9 @@ def run_experiment(config: ExperimentConfig):
         outcomes = [_run_cells(job) for job in jobs]
 
     rows = []
-    traces = []
     for job, job_outcomes in zip(jobs, outcomes):
         (name, dim, _), algo, configs, _ = job
-        for cfg, (best_gap, evals, generations, restarts, trace) in zip(configs, job_outcomes):
+        for cfg, (best_gap, evals, generations, restarts) in zip(configs, job_outcomes):
             rows.append(
                 {
                     "problem": name,
@@ -413,11 +422,10 @@ def run_experiment(config: ExperimentConfig):
                     "restarts": restarts,
                 }
             )
-            traces.append(trace)
 
     summary = _summarise(rows)
     if config.out_dir is not None:
-        _write_outputs(config, rows, summary, traces)
+        _write_outputs(config, rows, summary)
     return rows, summary
 
 
@@ -428,6 +436,13 @@ def _summarise(rows):
     summary = []
     for (name, dim, algo), gaps in groups.items():
         arr = np.asarray(gaps, dtype=float)
+        if len(arr) == 1:
+            std = 0.0
+        elif np.isfinite(arr).all():
+            std = float(arr.std(ddof=1))
+        else:
+            # numpy would give nan too, but warn on inf - inf on the way
+            std = math.nan
         summary.append(
             {
                 "problem": name,
@@ -435,14 +450,14 @@ def _summarise(rows):
                 "algo": algo,
                 "reps": len(arr),
                 "mean_gap": float(arr.mean()),
-                "std_gap": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
+                "std_gap": std,
                 "median_gap": float(np.median(arr)),
             }
         )
     return summary
 
 
-def _write_outputs(config, rows, summary, traces):
+def _write_outputs(config, rows, summary):
     out = Path(config.out_dir)
     with open(out / "results.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
@@ -456,12 +471,6 @@ def _write_outputs(config, rows, summary, traces):
     with open(out / "config.json", "w") as fh:
         json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
-    for row, trace in zip(rows, traces):
-        path = trace_dir / f"{row['problem']}_d{row['dim']}_{row['algo']}_rep{row['rep']}.jsonl"
-        with open(path, "w") as fh:
-            fh.write(trace)
 
 
 # ---------------------------------------------------------------------------

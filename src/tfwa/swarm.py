@@ -74,7 +74,7 @@ class SwarmConfig:
     literal_psigma: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One firework's state snapshot at the end of one generation.
 

@@ -4,9 +4,11 @@ import csv
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,15 @@ from tfwa.harness import (
     ALGORITHMS,
     RESULT_FIELDS,
     ExperimentConfig,
+    _run_cells,
+    _summarise,
     _trace_jsonl,
     load_experiment,
     main,
     run_experiment,
     validate_experiment,
 )
+from tfwa.benchfns import make_problem
 from tfwa.swarm import SwarmConfig, TraceRecord
 from tfwa.tdist import DF_CAP
 
@@ -324,6 +329,86 @@ def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
     rows, _ = run_experiment(config)
     assert seen == [[0, 1]]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["out-dir", "no-out-dir"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, algo, traced):
+    # a job returns four numbers per run, and its runs' traces are on disk
+    # by the time it returns
+    runner = tfwa.harness._RUNNERS[algo]
+    real, results = getattr(tfwa.harness, runner), []
+
+    def keep(problem, configs):
+        results.extend(real(problem, configs))
+        return results
+
+    monkeypatch.setattr(tfwa.harness, runner, keep)
+    (tmp_path / "traces").mkdir()
+    # repetitions 1 and 2 of a grid with base seed 3
+    configs = [SwarmConfig(seed=seed, budget=300) for seed in (4, 5)]
+    out_dir = str(tmp_path) if traced else None
+    outcomes = _run_cells((("sphere", 2, 3), algo, configs, out_dir))
+
+    f_star = make_problem("sphere", 2, 3).f_star
+    assert outcomes == [
+        (r.best_fitness - f_star, r.evals_used, r.generations, r.restarts) for r in results
+    ]
+    for outcome in outcomes:
+        assert len(outcome) == 4
+        assert all(isinstance(value, numbers.Real) for value in outcome)
+    written = {p.name: p.read_text() for p in (tmp_path / "traces").iterdir()}
+    if traced:
+        assert written == {
+            f"sphere_d2_{algo}_rep{rep}.jsonl": _trace_jsonl(result.trace)
+            for rep, result in zip((1, 2), results)
+        }
+    else:
+        assert written == {}
+
+
+def test_failed_grid_keeps_finished_traces_and_writes_no_results(tmp_path, monkeypatch):
+    # each job writes its traces as it ends, the grid files only come after
+    # the last job, so a grid whose second cell raises leaves the first's traces
+    def fail(problem, configs):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(tfwa.harness, "uniform_fwa_cell", fail)
+    out = tmp_path / "out"
+    config = ExperimentConfig(out_dir=str(out), **dict(SMALL, suite=("sphere",)))
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_experiment(config)
+    assert sorted(p.name for p in out.iterdir()) == ["traces"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        "sphere_d2_tfwa_rep0.jsonl",
+        "sphere_d2_tfwa_rep1.jsonl",
+    ]
+
+
+def test_summarise_gives_nan_std_for_infinite_gaps_without_warning():
+    # an objective that is NaN everywhere leaves a run at gap inf; its cell's
+    # std is nan, as before, but numpy no longer warns about inf - inf
+    cells = {
+        "all-inf": [math.inf] * 3,
+        "one-inf": [1.0, math.inf, 2.0],
+        "finite": [1.0, 2.0, 4.0],
+        "one-run": [math.inf],
+    }
+    rows = [
+        {"problem": "sphere", "dim": 2, "algo": algo, "best_gap": gap}
+        for algo, gaps in cells.items()
+        for gap in gaps
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = {row["algo"]: row for row in _summarise(rows)}
+    assert [summary[algo]["reps"] for algo in cells] == [3, 3, 3, 1]
+    assert [summary[algo]["mean_gap"] for algo in cells] == [math.inf, math.inf, 7 / 3, math.inf]
+    assert [summary[algo]["median_gap"] for algo in cells] == [math.inf, 2.0, 2.0, math.inf]
+    assert math.isnan(summary["all-inf"]["std_gap"])
+    assert math.isnan(summary["one-inf"]["std_gap"])
+    assert summary["finite"]["std_gap"] == float(np.std([1.0, 2.0, 4.0], ddof=1))
+    assert summary["one-run"]["std_gap"] == 0.0
 
 
 def test_cli_run_and_outputs(tmp_path, capsys):

@@ -17,7 +17,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -89,15 +88,18 @@ class _Problem:
         )
 
 
-class _SlowProblem(_Problem):
-    """A sphere whose batches take 2 ms of sleep, which releases the GIL."""
+class _Clock:
+    """Stands in for ``time.perf_counter``: each reading is ``tick`` seconds
+    after the one before, so every timed generation takes ``tick`` seconds,
+    however long it really took."""
 
-    def __init__(self, dim):
-        super().__init__(make_problem("sphere", dim, seed=0))
+    def __init__(self, tick):
+        self.tick = tick
+        self.now = 0.0
 
-    def evaluate_batch(self, xs):
-        time.sleep(2e-3)
-        return super().evaluate_batch(xs)
+    def __call__(self):
+        self.now += self.tick
+        return self.now
 
 
 def _timed_batches(runner, n_fireworks):
@@ -254,23 +256,21 @@ def test_cell_with_degenerate_fireworks_matches_runs(monkeypatch, min_burst_s):
 
 def test_burst_cost_picks_the_path(monkeypatch):
     # at the default threshold a cheap burst stays in turn, and a costly one
-    # goes to the pool even at d=2, where it gives the in-turn run's bits
+    # goes to the pool, where it gives the in-turn run's bits; the run's
+    # clock, not the host, decides which timed generations are costly
     monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
-    cheap_config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 50)
-    slow_config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 10)
+    config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 50)
     for runner in (run, uniform_fwa_run):
-        cheap = _Problem(make_problem("sphere", 10, seed=0))
-        runner(cheap, cheap_config)
+        results, problems = [], []
+        for tick in (0.0, 1.0):
+            monkeypatch.setattr(swarm_mod.time, "perf_counter", _Clock(tick))
+            problems.append(_Problem(make_problem("sphere", 10, seed=0)))
+            results.append(runner(problems[-1], config))
+        cheap, costly = problems
         assert cheap.threads == {threading.get_ident()}, runner.__name__
-
-        slow = _SlowProblem(2)
-        threaded = runner(slow, slow_config)
-        timed = _timed_batches(runner, slow_config.n_fireworks)
-        assert slow.pooled_after_timing(timed), runner.__name__
-        with monkeypatch.context() as m:
-            m.setattr(swarm_mod, "THREAD_MIN_BURST_S", IN_TURN)
-            in_turn = runner(_SlowProblem(2), slow_config)
-        assert _as_tuple(threaded) == _as_tuple(in_turn), runner.__name__
+        timed = _timed_batches(runner, config.n_fireworks)
+        assert costly.pooled_after_timing(timed), runner.__name__
+        assert _as_tuple(results[1]) == _as_tuple(results[0]), runner.__name__
 
 
 def test_one_core_explodes_in_turn(monkeypatch):
