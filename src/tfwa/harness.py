@@ -15,11 +15,14 @@ seeded runs and writes four artifacts into the output directory:
 
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
-runner.  When there are fewer cells than workers, each cell is split into
-``ceil(workers / cells)`` contiguous chunks of repetitions, so that no
+runner.  ``--workers N`` runs the grid on N processes, the calling one among
+them: it starts a pool of N - 1 workers (none when N is 1), and each of the
+N processes claims the next job in grid order from one shared counter until
+none is left.  When there are fewer cells than workers, each cell is split
+into ``ceil(workers / cells)`` contiguous chunks of repetitions, so that no
 worker sits idle; the rows are reassembled in grid order.  Only each run's
-four numbers come back from a job, so the parent holds rows, not traces,
-and writes the three grid files once every job has returned.
+four numbers come back from a job, so the calling process holds rows, not
+traces, and writes the three grid files once every job has ended.
 
 ``compare`` applies the rank-sum test per function between two results
 files of one algorithm each; ``rank`` averages per-function ranks of mean gaps across any number
@@ -29,9 +32,11 @@ of results files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -302,6 +307,52 @@ def _run_cells(job):
     ]
 
 
+# The job counter and jobs of the grid a pool worker claims from, set by the
+# pool's initializer, :func:`_join_grid`.
+_grid = None
+
+
+def _join_grid(processes, counter, jobs):
+    """Make this pool worker one of a grid's ``processes``: it shares their
+    cores and claims ``jobs`` from ``counter``."""
+    global _grid
+    _share_cores(processes)
+    _grid = counter, jobs
+
+
+def _claim_grid_jobs():
+    """A pool worker's share of its grid: :func:`_claim_jobs` on the grid
+    :func:`_join_grid` gave it."""
+    return _claim_jobs(*_grid)
+
+
+def _claim_jobs(counter, jobs):
+    """Run the jobs claimed from ``counter`` until none is left; returns
+    ``(index, outcomes)`` per job run.
+
+    Each claim takes the next job index in grid order.  A job that raises
+    stops the claims (:func:`_stop_claims`), and the error propagates.
+    """
+    claimed = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(jobs):
+            return claimed
+        try:
+            claimed.append((index, _run_cells(jobs[index])))
+        except BaseException:
+            _stop_claims(counter, jobs)
+            raise
+
+
+def _stop_claims(counter, jobs):
+    """Move ``counter`` past the last job, so that no claimer starts another."""
+    with counter.get_lock():
+        counter.value = len(jobs)
+
+
 def validate_experiment(config: ExperimentConfig):
     """Raise ValueError on unknown names or malformed grids before any run."""
     for label in ("suite", "dims", "algos"):
@@ -365,24 +416,33 @@ def run_experiment(config: ExperimentConfig):
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
     ``summary.csv``, ``config.json`` and per-run trace JSONL files; the
     directory and its ``traces/`` are made before the first run, so a path
-    that cannot be one raises ``OSError`` before any run.  A job is a
-    contiguous chunk of one cell's repetitions (see the module docstring).
-    Each run's trace is written by the process that ran it, a worker when
-    ``config.workers > 1`` and there is more than one job, as soon as its
-    job's runs end; the other three files are written once every job has
-    returned, so a grid that raises part-way can leave the traces of
-    finished jobs and no ``results.csv``.  A worker's runs explode
-    fireworks on threads only from its share of the cores
-    (``swarm._cores``).  A trace line spells floats as ``float.__repr__``
-    does (``NaN``, ``Infinity`` and ``-Infinity`` when not finite) and
-    booleans as ``true``/``false``, exactly as ``json.dumps`` would.
+    that cannot be one raises ``OSError`` before any run, and trace files
+    an earlier grid left there are deleted.  A job is a contiguous chunk of
+    one cell's repetitions (see the module docstring).  ``config.workers``
+    processes run the jobs, this one among them (fewer when there are fewer
+    jobs), each claiming the next job in grid order until none is left; the
+    others are a process pool, not started when there is only this one.  A
+    job that raises stops further claims, and its error propagates once the
+    jobs already running have ended.  Each run's trace is written by the
+    process that ran it, as soon as its job's runs end; the other three
+    files are written once every job has ended, so a grid that raises
+    part-way can leave the traces of finished jobs and no ``results.csv``.
+    While a process runs jobs, its runs explode fireworks on threads only
+    from its share of the cores (``swarm._cores``).  A trace line spells
+    floats as ``float.__repr__`` does (``NaN``, ``Infinity`` and
+    ``-Infinity`` when not finite) and booleans as ``true``/``false``,
+    exactly as ``json.dumps`` would.
     Reruns with the same configuration produce byte-identical files,
     whatever the worker count.
     """
     validate_experiment(config)
     if config.out_dir is not None:
         # a path that cannot be a directory fails here, not after the grid ran
-        Path(config.out_dir, "traces").mkdir(parents=True, exist_ok=True)
+        traces = Path(config.out_dir, "traces")
+        traces.mkdir(parents=True, exist_ok=True)
+        # an earlier grid's traces would outnumber this one's rows
+        for stale in traces.glob("*.jsonl"):
+            stale.unlink()
     cells = [
         (name, dim, algo) for name in config.suite for dim in config.dims for algo in config.algos
     ]
@@ -395,20 +455,41 @@ def run_experiment(config: ExperimentConfig):
         for chunk in _chunks(configs, parts):
             jobs.append(((name, dim, config.base_seed), algo, chunk, config.out_dir))
 
+    # this process claims jobs beside processes - 1 pool workers, and they
+    # all share the cores, so a run explodes its fireworks on threads only
+    # where its process has cores to spare
     processes = min(config.workers, len(jobs))
     if processes > 1:
-        # the workers share the cores, so a run explodes its fireworks on
-        # threads only where its worker has cores to spare
-        pool = ProcessPoolExecutor(processes, initializer=_share_cores, initargs=(processes,))
-        with pool:
-            outcomes = list(pool.map(_run_cells, jobs, chunksize=1))
+        counter = multiprocessing.Value("q", 0)
+        pool = ProcessPoolExecutor(
+            processes - 1, initializer=_join_grid, initargs=(processes, counter, jobs)
+        )
     else:
-        outcomes = [_run_cells(job) for job in jobs]
+        # one claimer needs no lock
+        counter = SimpleNamespace(value=0, get_lock=contextlib.nullcontext)
+        pool = contextlib.nullcontext()
+
+    def stop_if_failed(worker):
+        # a worker that dies cannot stop the claims itself
+        if worker.exception() is not None:
+            _stop_claims(counter, jobs)
+
+    with pool:
+        workers = [pool.submit(_claim_grid_jobs) for _ in range(processes - 1)]
+        for worker in workers:
+            worker.add_done_callback(stop_if_failed)
+        sharing = _share_cores(processes)
+        try:
+            claimed = _claim_jobs(counter, jobs)
+        finally:
+            _share_cores(sharing)
+        for worker in workers:
+            claimed += worker.result()
+    outcomes = dict(claimed)
 
     rows = []
-    for job, job_outcomes in zip(jobs, outcomes):
-        (name, dim, _), algo, configs, _ = job
-        for cfg, (best_gap, evals, generations, restarts) in zip(configs, job_outcomes):
+    for index, ((name, dim, _), algo, configs, _) in enumerate(jobs):
+        for cfg, (best_gap, evals, generations, restarts) in zip(configs, outcomes[index]):
             rows.append(
                 {
                     "problem": name,

@@ -282,16 +282,19 @@ def _cell_shape(problem, configs):
     return shape
 
 
-# The number of processes that share this process's cores.  A grid's worker
-# processes set it to the worker count, so that their runs together explode
-# on no more threads than there are cores.
+# The number of processes that share this process's cores.  A grid's
+# processes, the calling one among them, set it to the worker count while they
+# run jobs, so that their runs together explode on no more threads than there
+# are cores.
 _sharing = 1
 
 
-def _share_cores(processes: int) -> None:
-    """Note that ``processes`` processes, this one among them, share its cores."""
+def _share_cores(processes: int) -> int:
+    """Note that ``processes`` processes, this one among them, share its
+    cores; returns the count noted before."""
     global _sharing
-    _sharing = processes
+    previous, _sharing = _sharing, processes
+    return previous
 
 
 def _cores() -> int:

@@ -8,7 +8,10 @@ import numbers
 import os
 import subprocess
 import sys
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import tfwa.harness
+import tfwa.swarm
 from tfwa.harness import (
     ALGORITHMS,
     RESULT_FIELDS,
@@ -383,6 +387,150 @@ def test_failed_grid_keeps_finished_traces_and_writes_no_results(tmp_path, monke
         "sphere_d2_tfwa_rep0.jsonl",
         "sphere_d2_tfwa_rep1.jsonl",
     ]
+
+
+# six cells, claimed in this order, each under the key the job log gives it
+SIX_CELLS = dict(
+    suite=("sphere", "rastrigin", "ackley"),
+    dims=(2,),
+    algos=("random-search", "uniform-fwa"),
+    reps=2,
+    budget_multiplier=100,
+)
+SIX_JOBS = [
+    f"{name}/{algo}/0" for name in SIX_CELLS["suite"] for algo in SIX_CELLS["algos"]
+]
+ONE_CELL = dict(suite=("rastrigin",), dims=(2,), algos=("uniform-fwa",), reps=5, budget_multiplier=100)
+# the one cell's five repetitions in one chunk per worker, keyed by first seed
+ONE_CELL_JOBS = {
+    workers: [f"rastrigin/uniform-fwa/{seed}" for seed in seeds]
+    for workers, seeds in {1: (0,), 2: (0, 3), 3: (0, 2, 4)}.items()
+}
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Grid pools fork their workers, which so inherit this process's
+    monkeypatches; returns the worker count of each pool started."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    sizes = []
+
+    def pool(processes, **kwargs):
+        sizes.append(processes)
+        return ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+    monkeypatch.setattr(tfwa.harness, "ProcessPoolExecutor", pool)
+    return sizes
+
+
+def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False):
+    """Make each job append ``<pid> <problem>/<algo>/<first seed>`` to
+    ``log`` as it starts; the job named ``fail`` then raises, a pool
+    worker's first job ends its process when ``worker_exits`` is set, and
+    the other jobs wait ``pause`` seconds before they run."""
+    real = tfwa.harness._run_cells
+    caller = os.getpid()
+
+    def run_cells(job):
+        (name, _, _), algo, configs, _ = job
+        key = f"{name}/{algo}/{configs[0].seed}"
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {key}\n")
+        if key == fail:
+            raise RuntimeError(f"job {key} failed")
+        if worker_exits and os.getpid() != caller:
+            os._exit(1)
+        time.sleep(pause)
+        return real(job)
+
+    monkeypatch.setattr(tfwa.harness, "_run_cells", run_cells)
+
+
+def _job_log(log):
+    lines = [line.split() for line in log.read_text().splitlines()]
+    return {int(pid) for pid, _ in lines}, [key for _, key in lines]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "grid, keys",
+    [(SIX_CELLS, dict.fromkeys((1, 2, 3), SIX_JOBS)), (ONE_CELL, ONE_CELL_JOBS)],
+    ids=["six-cells", "one-cell"],
+)
+def test_every_job_is_claimed_once(tmp_path, monkeypatch, fork_pool, grid, keys, workers):
+    # this process and workers - 1 pool workers claim the jobs between them,
+    # and the rows come back in grid order, as a grid on one process gives them
+    expected, _ = run_experiment(ExperimentConfig(**grid))
+    log = tmp_path / "jobs.log"
+    _log_jobs(monkeypatch, log)
+    rows, _ = run_experiment(ExperimentConfig(workers=workers, **grid))
+    pids, claimed = _job_log(log)
+    assert sorted(claimed) == sorted(keys[workers])
+    assert fork_pool == ([workers - 1] if workers > 1 else [])
+    assert len(pids) <= workers
+    assert rows == expected
+
+
+def test_one_worker_starts_no_pool_and_no_lock(tmp_path, monkeypatch, fork_pool):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-process grid made a shared value")
+
+    monkeypatch.setattr(multiprocessing, "Value", refuse)
+    log = tmp_path / "jobs.log"
+    _log_jobs(monkeypatch, log)
+    run_experiment(ExperimentConfig(**SIX_CELLS))
+    assert fork_pool == []
+    assert _job_log(log) == ({os.getpid()}, SIX_JOBS)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failed_job_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_pool, workers):
+    # the second job raises as it starts while every other job takes 0.5 s,
+    # so besides the first two only the jobs the other claimers held when it
+    # raised, one each at most, can have started
+    log = tmp_path / "jobs.log"
+    _log_jobs(monkeypatch, log, fail=SIX_JOBS[1], pause=0.5)
+    sharing = tfwa.swarm._sharing
+    with pytest.raises(RuntimeError, match=f"job {SIX_JOBS[1]} failed"):
+        run_experiment(ExperimentConfig(workers=workers, out_dir=str(tmp_path / "out"), **SIX_CELLS))
+    pids, started = _job_log(log)
+    assert SIX_JOBS[1] in started
+    assert len(set(started)) == len(started)
+    assert set(started) <= set(SIX_JOBS[: workers + 1])
+    assert len(pids) <= workers
+    assert not (tmp_path / "out" / "results.csv").exists()
+    assert tfwa.swarm._sharing == sharing
+
+
+def test_dead_worker_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_pool):
+    # a worker that dies cannot stop the claims itself; the grid must still
+    # end without this process running the jobs nobody had claimed.  One
+    # worker: a broken pool kills the others, which could hold the counter
+    log = tmp_path / "jobs.log"
+    _log_jobs(monkeypatch, log, pause=0.5, worker_exits=True)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(ExperimentConfig(workers=2, **SIX_CELLS))
+    _, started = _job_log(log)
+    assert set(started) <= set(SIX_JOBS[:3])
+
+
+def test_rerun_into_a_used_out_dir_drops_the_old_traces(tmp_path):
+    # a grid of three repetitions, then one of two into the same directory,
+    # leaves one trace per results.csv row; other files in traces/ stay
+    out = tmp_path / "out"
+    grid = dict(
+        suite=("sphere",), dims=(2,), algos=("random-search",), budget_multiplier=50, out_dir=str(out)
+    )
+    run_experiment(ExperimentConfig(reps=3, **grid))
+    (out / "traces" / "notes.txt").write_text("kept\n")
+    run_experiment(ExperimentConfig(reps=2, **grid))
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        "notes.txt",
+        "sphere_d2_random-search_rep0.jsonl",
+        "sphere_d2_random-search_rep1.jsonl",
+    ]
+    assert len((out / "results.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_summarise_gives_nan_std_for_infinite_gaps_without_warning():

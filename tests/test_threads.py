@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,13 +293,18 @@ def test_cores_is_the_process_share(monkeypatch, sharing, share):
 
 def test_grid_workers_share_the_cores(monkeypatch):
     # a grid on as many workers as cores leaves each run one core, so its
-    # fireworks explode in turn
+    # fireworks explode in turn, the calling process's runs included
     class InlinePool:
-        """A process pool that runs its initializer and jobs in this process."""
+        """A process pool that runs its initializer in this process, keeping
+        the core share a worker would note, and each job claimer when its
+        result is asked for, after the caller has claimed every job."""
 
         def __init__(self, processes, initializer, initargs):
             pools.append(processes)
+            before = swarm_mod._sharing
             initializer(*initargs)
+            shares.append(swarm_mod._sharing)
+            swarm_mod._sharing = before
 
         def __enter__(self):
             return self
@@ -306,11 +312,12 @@ def test_grid_workers_share_the_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize):
-            return map(fn, jobs)
+        def submit(self, fn):
+            return SimpleNamespace(result=fn, add_done_callback=lambda callback: None)
 
-    pools, problems = [], []
+    pools, shares, problems = [], [], []
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness_mod, "_grid", None)
     monkeypatch.setattr(harness_mod, "make_problem", lambda *args: _record(make_problem(*args)))
     monkeypatch.setattr(swarm_mod, "_sharing", 1)
     if hasattr(os, "sched_getaffinity"):
@@ -326,8 +333,9 @@ def test_grid_workers_share_the_cores(monkeypatch):
         suite=("rastrigin",), dims=(DIM,), algos=("tfwa",), reps=2, budget_multiplier=60, workers=2
     )
     rows, _ = run_experiment(config)
-    assert pools == [2] and len(rows) == 2
+    assert pools == [1] and shares == [2] and len(rows) == 2
     assert [p.threads for p in problems] == [{threading.get_ident()}] * 2
+    assert swarm_mod._sharing == 1
 
 
 _D100_SCRIPT = """
