@@ -24,9 +24,9 @@ worker sits idle; the rows are reassembled in grid order.  Only each run's
 four numbers come back from a job, so the calling process holds rows, not
 traces, and writes the three grid files once every job has ended.
 
-``compare`` applies the rank-sum test per function between two results
-files of one algorithm each; ``rank`` averages per-function ranks of mean gaps across any number
-of results files.
+``compare`` and ``rank`` read results files as one sample per algorithm per
+file: ``compare`` applies the rank-sum test per function to exactly two
+samples; ``rank`` averages per-function ranks of each algorithm's mean gaps.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def run_experiment(config: ExperimentConfig):
     order.  When ``config.out_dir`` is set, writes ``results.csv``,
     ``summary.csv``, ``config.json`` and per-run trace JSONL files; the
     directory and its ``traces/`` are made before the first run, so a path
-    that cannot be one raises ``OSError`` before any run, and trace files
+    that cannot be one raises ``OSError`` before any run, and those files
     an earlier grid left there are deleted.  A job is a contiguous chunk of
     one cell's repetitions (see the module docstring).  ``config.workers``
     processes run the jobs, this one among them (fewer when there are fewer
@@ -431,18 +431,18 @@ def run_experiment(config: ExperimentConfig):
     from its share of the cores (``swarm._cores``).  A trace line spells
     floats as ``float.__repr__`` does (``NaN``, ``Infinity`` and
     ``-Infinity`` when not finite) and booleans as ``true``/``false``,
-    exactly as ``json.dumps`` would.
-    Reruns with the same configuration produce byte-identical files,
-    whatever the worker count.
+    exactly as ``json.dumps`` would.  Reruns with the same configuration
+    produce byte-identical files, whatever the worker count.
     """
     validate_experiment(config)
     if config.out_dir is not None:
         # a path that cannot be a directory fails here, not after the grid ran
         traces = Path(config.out_dir, "traces")
         traces.mkdir(parents=True, exist_ok=True)
-        # an earlier grid's traces would outnumber this one's rows
-        for stale in traces.glob("*.jsonl"):
-            stale.unlink()
+        # files an earlier grid left would outlive a grid that raises, or outnumber its rows
+        names = ("results.csv", "summary.csv", "config.json")
+        for stale in [*traces.glob("*.jsonl"), *(traces.parent / name for name in names)]:
+            stale.unlink(missing_ok=True)
     cells = [
         (name, dim, algo) for name in config.suite for dim in config.dims for algo in config.algos
     ]
@@ -559,18 +559,21 @@ def _write_outputs(config, rows, summary):
 
 
 def _read_gaps(paths):
-    """The best gaps of one or more results files, pooled, as ``{function:
-    {algo: [gap, ...]}}`` with functions named ``<problem>_d<dim>``."""
-    gaps = {}
+    """One sample per algorithm per results file: ``(algo, path, {function:
+    [gap, ...]})`` with functions named ``<problem>_d<dim>``, files in the
+    order given and, within one, algorithms in the order they first appear."""
+    samples = []
     for path in paths:
+        by_algo = {}
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
+            for row in csv.DictReader(fh):
+                func = f"{row['problem']}_d{int(row['dim'])}"
+                gap = float(row["best_gap"])
+                by_algo.setdefault(row["algo"], {}).setdefault(func, []).append(gap)
+        if not by_algo:
             raise ValueError(f"no result rows in {path}")
-        for row in rows:
-            func = f"{row['problem']}_d{int(row['dim'])}"
-            gaps.setdefault(func, {}).setdefault(row["algo"], []).append(float(row["best_gap"]))
-    return gaps
+        samples += [(algo, path, gaps) for algo, gaps in by_algo.items()]
+    return samples
 
 
 def _tuples(data):
@@ -623,16 +626,13 @@ def _cmd_run(args):
     return 0
 
 
-def _one_algo_gaps(path):
-    gaps = _read_gaps([path])
-    algos = sorted({algo for by_algo in gaps.values() for algo in by_algo})
-    if len(algos) > 1:
-        raise ValueError(f"{path} holds more than one algorithm: {' '.join(algos)}")
-    return {func: next(iter(by_algo.values())) for func, by_algo in gaps.items()}
-
-
 def _cmd_compare(args):
-    verdicts = _rank_sum_verdicts(_one_algo_gaps(args.a), _one_algo_gaps(args.b), args.alpha)
+    samples = _read_gaps(args.inputs)
+    names = [f"{algo} in {path}" for algo, path, _ in samples]
+    if len(samples) != 2:
+        raise ValueError(f"compare needs exactly two samples, got {len(names)}: {'; '.join(names)}")
+    verdicts = _rank_sum_verdicts(samples[0][2], samples[1][2], args.alpha)
+    print(f"a: {names[0]}\nb: {names[1]}")
     for key, (u, p, verdict) in verdicts.items():
         print(f"{key}: U={u:.1f} p={p:.4g} -> {verdict}")
     cell = _tally(verdicts, args.alpha)
@@ -641,10 +641,11 @@ def _cmd_compare(args):
 
 
 def _cmd_rank(args):
-    table = {
-        func: {algo: float(np.mean(gaps)) for algo, gaps in by_algo.items()}
-        for func, by_algo in _read_gaps(args.inputs).items()
-    }
+    pooled = {}  # an algorithm's samples pool across files
+    for algo, _, gaps in _read_gaps(args.inputs):
+        for func, sample in gaps.items():
+            pooled.setdefault(func, {}).setdefault(algo, []).extend(sample)
+    table = {f: {a: float(np.mean(s)) for a, s in row.items()} for f, row in pooled.items()}
     ranks = average_rank(table)
     for algo in sorted(ranks, key=lambda a: ranks[a]):
         print(f"{algo}: average rank {ranks[algo]:.3f} over {len(table)} functions")
@@ -674,9 +675,8 @@ def _build_parser():
     )
     p_run.set_defaults(handler=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="rank-sum comparison of two results files")
-    p_cmp.add_argument("--a", required=True)
-    p_cmp.add_argument("--b", required=True)
+    p_cmp = sub.add_parser("compare", help="rank-sum comparison of two samples")
+    p_cmp.add_argument("--inputs", nargs="+", required=True)
     p_cmp.add_argument("--alpha", type=float, default=0.05)
     p_cmp.set_defaults(handler=_cmd_compare)
 

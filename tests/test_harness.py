@@ -533,6 +533,47 @@ def test_rerun_into_a_used_out_dir_drops_the_old_traces(tmp_path):
     assert len((out / "results.csv").read_text().splitlines()) == 1 + 2
 
 
+def test_failed_rerun_into_a_used_out_dir_leaves_no_old_results(tmp_path, monkeypatch):
+    # a grid whose job raises must not leave an earlier grid's results.csv,
+    # summary.csv and config.json behind as if they were its own
+    out = tmp_path / "out"
+    grid = ExperimentConfig(
+        suite=("sphere",),
+        dims=(2,),
+        algos=("random-search",),
+        reps=3,
+        budget_multiplier=50,
+        out_dir=str(out),
+    )
+    run_experiment(grid)
+    (out / "notes.txt").write_text("kept\n")
+
+    def failing_cell(problem, configs):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(tfwa.harness, "random_search_cell", failing_cell)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_experiment(grid)
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "traces"]
+    assert list((out / "traces").iterdir()) == []
+
+
+def test_cli_rerun_from_config_json_into_its_own_out_dir(tmp_path, capsys):
+    # the config is read before the rerun deletes the old config.json
+    out = tmp_path / "out"
+    argv = ["run", "--suite", "sphere", "--dims", "2", "--algos", "uniform-fwa", "random-search"]
+    argv += ["--reps", "2", "--budget-mult", "100", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+
+    def files():
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    first = files()
+    assert main(["run", "--config", str(out / "config.json"), "--out", str(out)]) == 0
+    assert files() == first
+    assert len(first) == 3 + 2 * 2
+
+
 def test_summarise_gives_nan_std_for_infinite_gaps_without_warning():
     # an objective that is NaN everywhere leaves a run at gap inf; its cell's
     # std is nan, as before, but numpy no longer warns about inf - inf
@@ -853,12 +894,12 @@ def test_cli_config_file_rejects_non_object(tmp_path, capsys, text):
     assert not (tmp_path / "x").exists()
 
 
-def _make_results(tmp_path, algo, label):
+def _make_results(tmp_path, label, *algos):
     out = tmp_path / label
     config = ExperimentConfig(
         suite=("sphere", "rastrigin"),
         dims=(2,),
-        algos=(algo,),
+        algos=algos,
         reps=5,
         budget_multiplier=200,
         out_dir=str(out),
@@ -867,58 +908,152 @@ def _make_results(tmp_path, algo, label):
     return out / "results.csv"
 
 
+# per (problem, algo) gaps at d=2, in grid order: one function for each verdict
+PAIRED_GAPS = {
+    ("sphere", "tfwa"): [1e-9, 2e-9, 3e-9, 4e-9, 5e-9],
+    ("sphere", "uniform-fwa"): [0.1, 0.2, 0.3, 0.4, 0.5],
+    ("rastrigin", "tfwa"): [5.0, 6.0, 7.0, 8.0, 9.0],
+    ("rastrigin", "uniform-fwa"): [1.0, 2.0, 3.0, 4.0, 4.5],
+    ("ackley", "tfwa"): [1.0, 3.0, 5.0, 7.0, 9.0],
+    ("ackley", "uniform-fwa"): [2.0, 4.0, 6.0, 8.0, 10.0],
+}
+
+# what `compare --a tfwa.csv --b uniform.csv` printed on PAIRED_GAPS before
+# compare read --inputs
+PINNED_COMPARE = [
+    "ackley_d2: U=10.0 p=0.6905 -> tie",
+    "rastrigin_d2: U=25.0 p=0.007937 -> b",
+    "sphere_d2: U=0.0 p=0.007937 -> a",
+    "win/lose/tie (a vs b, alpha=0.05): 1/1/1",
+]
+
+
+def _only(algo, gaps=PAIRED_GAPS):
+    return {(problem, a): sample for (problem, a), sample in gaps.items() if a == algo}
+
+
+def _write_results(path, gaps):
+    """A results.csv of the d=2 runs ``gaps`` maps ``(problem, algo)`` to."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        for (problem, algo), sample in gaps.items():
+            for rep, gap in enumerate(sample):
+                row = dict(problem=problem, dim=2, algo=algo, rep=rep, seed=rep, best_gap=gap)
+                writer.writerow({**row, "evals": 1000, "generations": 10, "restarts": 0})
+    return path
+
+
+@pytest.fixture
+def paired_and_split(tmp_path):
+    """PAIRED_GAPS as one paired results.csv and as one file per algorithm."""
+    return (
+        _write_results(tmp_path / "paired.csv", PAIRED_GAPS),
+        _write_results(tmp_path / "tfwa.csv", _only("tfwa")),
+        _write_results(tmp_path / "uniform.csv", _only("uniform-fwa")),
+    )
+
+
 def test_cli_compare(tmp_path, capsys):
-    path_a = _make_results(tmp_path, "tfwa", "a")
-    path_b = _make_results(tmp_path, "random-search", "b")
-    code = main(["compare", "--a", str(path_a), "--b", str(path_b)])
+    path_a = _make_results(tmp_path, "a", "tfwa")
+    path_b = _make_results(tmp_path, "b", "random-search")
+    code = main(["compare", "--inputs", str(path_a), str(path_b)])
     assert code == 0
     stdout = capsys.readouterr().out
+    lines = stdout.splitlines()
+    assert lines[:2] == [f"a: tfwa in {path_a}", f"b: random-search in {path_b}"]
     assert "rastrigin_d2: U=" in stdout
     assert "sphere_d2: U=" in stdout
     assert "win/lose/tie (a vs b, alpha=0.05):" in stdout
     # the tally counts the per-function verdicts it printed
-    lines = stdout.splitlines()
-    verdicts = [line.rsplit("-> ", 1)[1] for line in lines[:-1]]
+    verdicts = [line.rsplit("-> ", 1)[1] for line in lines[2:-1]]
     counts = [verdicts.count(v) for v in ("a", "b", "tie")]
     assert lines[-1] == "win/lose/tie (a vs b, alpha=0.05): {}/{}/{}".format(*counts)
+    # a grid of both algorithms compares from its own results.csv as the
+    # same cells run one algorithm per grid do
+    paired = _make_results(tmp_path, "paired", "tfwa", "random-search")
+    assert main(["compare", "--inputs", str(paired)]) == 0
+    paired_lines = capsys.readouterr().out.splitlines()
+    assert paired_lines[:2] == [f"a: tfwa in {paired}", f"b: random-search in {paired}"]
+    assert paired_lines[2:] == lines[2:]
+
+
+def test_cli_compare_lines_match_the_pinned_output(paired_and_split, capsys):
+    paired, tfwa_path, uniform_path = paired_and_split
+    for inputs in ([paired], [tfwa_path, uniform_path]):
+        assert main(["compare", "--inputs", *map(str, inputs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"a: tfwa in {inputs[0]}", f"b: uniform-fwa in {inputs[-1]}"]
+        assert lines[2:] == PINNED_COMPARE
+
+
+def test_cli_compare_labels_two_samples_of_one_algorithm_by_file(tmp_path, capsys):
+    # an ablation: both files hold tfwa, run under different settings
+    base = _write_results(tmp_path / "base.csv", _only("tfwa"))
+    variant = {(problem, "tfwa"): gaps for (problem, _), gaps in _only("uniform-fwa").items()}
+    variant = _write_results(tmp_path / "variant.csv", variant)
+    assert main(["compare", "--inputs", str(base), str(variant)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"a: tfwa in {base}", f"b: tfwa in {variant}"]
+    assert lines[2:] == PINNED_COMPARE
 
 
 def test_cli_compare_missing_file(tmp_path, capsys):
-    path_a = _make_results(tmp_path, "tfwa", "only")
-    code = main(["compare", "--a", str(path_a), "--b", str(tmp_path / "missing.csv")])
+    path_a = _make_results(tmp_path, "only", "tfwa")
+    code = main(["compare", "--inputs", str(path_a), str(tmp_path / "missing.csv")])
     assert code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_cli_compare_rejects_two_algorithms(tmp_path, capsys):
-    # pooling two algorithms' gaps per function would test a mixture
-    path_a = _make_results(tmp_path, "tfwa", "a")
-    mixed = tmp_path / "mixed"
-    config = ExperimentConfig(
-        suite=("sphere", "rastrigin"),
-        dims=(2,),
-        algos=("uniform-fwa", "random-search"),
-        reps=3,
-        budget_multiplier=200,
-        out_dir=str(mixed),
-    )
-    run_experiment(config)
-    for a, b in ((path_a, mixed / "results.csv"), (mixed / "results.csv", path_a)):
-        code = main(["compare", "--a", str(a), "--b", str(b)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "holds more than one algorithm: random-search uniform-fwa" in captured.err
-        assert captured.out == ""
+@pytest.mark.parametrize(
+    "inputs, held",
+    [
+        (["tfwa"], ["tfwa in {tfwa}"]),
+        (["paired", "tfwa"], ["tfwa in {paired}", "uniform-fwa in {paired}", "tfwa in {tfwa}"]),
+        (["paired", "paired"], ["tfwa in {paired}", "uniform-fwa in {paired}"] * 2),
+    ],
+    ids=["one", "three", "four"],
+)
+def test_cli_compare_needs_exactly_two_samples(paired_and_split, capsys, inputs, held):
+    paths = dict(zip(("paired", "tfwa", "uniform"), map(str, paired_and_split)))
+    code = main(["compare", "--inputs", *(paths[name] for name in inputs)])
+    assert code == 2
+    captured = capsys.readouterr()
+    held = [sample.format(**paths) for sample in held]
+    assert f"compare needs exactly two samples, got {len(held)}: {'; '.join(held)}" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_rank(tmp_path, capsys):
-    path_a = _make_results(tmp_path, "tfwa", "a")
-    path_b = _make_results(tmp_path, "uniform-fwa", "b")
+    path_a = _make_results(tmp_path, "a", "tfwa")
+    path_b = _make_results(tmp_path, "b", "uniform-fwa")
     code = main(["rank", "--inputs", str(path_a), str(path_b)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert "tfwa: average rank" in stdout
     assert "uniform-fwa: average rank" in stdout
     assert "over 2 functions" in stdout
+
+
+def test_cli_rank_reads_a_paired_file(paired_and_split, capsys):
+    paired, tfwa_path, uniform_path = paired_and_split
+    # tfwa's pooled mean passes uniform-fwa's on sphere and not on ackley,
+    # while this file's alone would pass it on both
+    more = {("sphere", "tfwa"): [1.0] * 5, ("ackley", "tfwa"): [6.5] * 5}
+    more = _write_results(paired.parent / "more.csv", {**_only("tfwa"), **more})
+    outputs = []
+    for inputs in ([paired], [tfwa_path, uniform_path], [paired, more]):
+        assert main(["rank", "--inputs", *map(str, inputs)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == (
+        "tfwa: average rank 1.333 over 3 functions\n"
+        "uniform-fwa: average rank 1.667 over 3 functions\n"
+    )
+    # the samples of one algorithm pool across files
+    assert outputs[2] == (
+        "uniform-fwa: average rank 1.333 over 3 functions\n"
+        "tfwa: average rank 1.667 over 3 functions\n"
+    )
 
 
 def test_python_m_harness_runs_without_runtime_warning():
