@@ -656,10 +656,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tfwa-bench",
         description="Benchmark harness for the t-distribution fireworks optimiser.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a grid of seeded runs")
+    p_run = sub.add_parser("run", help="execute a grid of seeded runs", allow_abbrev=False)
     p_run.add_argument("--suite", nargs="+", metavar="NAME", default=None)
     p_run.add_argument("--dims", nargs="+", type=int, default=None)
     p_run.add_argument("--algos", nargs="+", metavar="ALGO", default=None)
@@ -675,12 +676,12 @@ def _build_parser():
     )
     p_run.set_defaults(handler=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="rank-sum comparison of two samples")
+    p_cmp = sub.add_parser("compare", help="rank-sum comparison of two samples", allow_abbrev=False)
     p_cmp.add_argument("--inputs", nargs="+", required=True)
     p_cmp.add_argument("--alpha", type=float, default=0.05)
     p_cmp.set_defaults(handler=_cmd_compare)
 
-    p_rank = sub.add_parser("rank", help="average ranks across results files")
+    p_rank = sub.add_parser("rank", help="average ranks across results files", allow_abbrev=False)
     p_rank.add_argument("--inputs", nargs="+", required=True)
     p_rank.set_defaults(handler=_cmd_rank)
     return parser

@@ -635,6 +635,26 @@ def test_cli_run_requires_output_dir(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compare", "--inputs", "a.csv", "b.csv", "--a", "x"], "--a x"),
+        (["run", "--suite", "sphere", "--dims", "2", "--out", "x", "--work", "2"], "--work 2"),
+        (["rank", "--inputs", "a.csv", "--in", "b.csv"], "--in b.csv"),
+    ],
+    ids=["compare", "run", "rank"],
+)
+def test_cli_rejects_abbreviated_flags(tmp_path, capsys, monkeypatch, argv, flag):
+    # an abbreviation is an unknown flag, so that a later flag sharing its
+    # prefix cannot change what it means
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_run_rejects_unknown_problem(tmp_path, capsys):
     code = main(
         ["run", "--suite", "warts", "--dims", "2", "--reps", "1", "--out", str(tmp_path / "x")]

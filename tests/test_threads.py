@@ -2,21 +2,23 @@
 
 A run, or a cell of runs, times its first two generations, which explode in
 turn; when the cheaper of them took at least ``swarm.THREAD_MIN_BURST_S``
-per firework, the rest of its generations explode on a thread pool, each
-thread taking a contiguous chunk of the generation's fireworks.  Each
-firework draws from its own generator and each run handles its outcomes in
-firework order, so the threaded and the in-turn path, and a run alone or in
-a cell, must give the same run, bit for bit.
+per firework, the rest of its generations explode in contiguous chunks of
+the generation's fireworks, the calling thread taking the first and a thread
+pool the others.  Each firework draws from its own generator and each run
+handles its outcomes in firework order, so the threaded and the in-turn
+path, and a run alone or in a cell, must give the same run, bit for bit.
 Every run holds BLAS at one thread, which also makes a d=100 run independent
 of the thread count the process started with.
 """
 
+import collections
 import dataclasses
 import math
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +38,7 @@ from tfwa.baselines import (
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
 from tfwa.harness import ExperimentConfig, run_experiment
-from tfwa.swarm import SwarmConfig, run, run_cell
+from tfwa.swarm import SwarmConfig, _chunks, run, run_cell
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,7 +60,9 @@ class _Problem:
         self.f_star = problem.f_star
         self.fail = fail
         self.points = []  # every single point evaluated, in order
-        self.batch_threads = []  # the thread that evaluated each batch, in order
+        # the thread and point count of each batch, in order, and before each
+        # pooled generation's batches its chunk sizes, a list (_mark_chunks)
+        self.log = []
         self.blas_threads = set()  # BLAS thread counts seen by any evaluation
 
     def evaluate(self, x):
@@ -69,24 +73,58 @@ class _Problem:
     def evaluate_batch(self, xs):
         if self.fail:
             raise RuntimeError("objective failed")
-        self.batch_threads.append(threading.get_ident())
+        self.log.append((threading.get_ident(), len(xs)))
         self.blas_threads.add(blas.threads())
         return self.problem.evaluate_batch(xs)
 
     @property
+    def pooled(self):
+        """Whether a pooled generation has begun."""
+        return any(isinstance(entry, list) for entry in self.log)
+
+    @property
     def threads(self):
         """Threads that evaluated a batch."""
-        return set(self.batch_threads)
+        return {entry[0] for entry in self.log if isinstance(entry, tuple)}
 
-    def pooled_after_timing(self, timed):
+    def split_after_timing(self, timed, lam, workers):
         """Whether the first ``timed`` batches, the timed generations', ran on
-        the calling thread and every later one on the pool."""
+        the calling thread, and every later generation was pooled: the
+        calling thread evaluated the sparks of its first chunk and at most
+        ``workers - 1`` other threads those of the others."""
         caller = threading.get_ident()
-        return (
-            self.batch_threads[:timed] == [caller] * timed
-            and len(self.batch_threads) > timed
-            and caller not in self.batch_threads[timed:]
-        )
+        head, generations = [], []
+        for entry in self.log:
+            if isinstance(entry, list):
+                generations.append((entry, collections.Counter()))
+            elif generations:
+                generations[-1][1][entry[0]] += entry[1]
+            else:
+                head.append(entry[0])
+        if head != [caller] * timed or not generations:
+            return False
+        for sizes, points in generations:
+            on_caller = points.pop(caller, 0)
+            if (
+                on_caller != lam * sizes[0]
+                or sum(points.values()) != lam * sum(sizes[1:])
+                or len(points) > workers - 1
+            ):
+                return False
+        return True
+
+
+def _mark_chunks(monkeypatch, problem):
+    """Have each pooled generation note its chunk sizes in ``problem.log``
+    before its fireworks explode; returns ``problem``."""
+
+    def chunks(items, parts):
+        cut = _chunks(items, parts)
+        problem.log.append([len(c) for c in cut])
+        return cut
+
+    monkeypatch.setattr(swarm_mod, "_chunks", chunks)
+    return problem
 
 
 class _Clock:
@@ -140,12 +178,13 @@ def test_threaded_matches_in_turn(monkeypatch, runner, tail):
     results, problems = [], []
     for min_burst_s in (IN_TURN, THREADED):
         _force(monkeypatch, min_burst_s)
-        problems.append(_Problem(make_problem("rastrigin", DIM, seed=0)))
-        results.append(runner(problems[-1], config))
+        problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", DIM, seed=0)))
+        problems.append(problem)
+        results.append(runner(problem, config))
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert problems[0].threads == {threading.get_ident()}
-    assert problems[1].pooled_after_timing(_timed_batches(runner, config.n_fireworks))
+    assert problems[1].split_after_timing(_timed_batches(runner, config.n_fireworks), LAM, 2)
     if tail:
         assert [(r.gen, r.fw) for r in in_turn.trace[-2:]] == [(8, 1), (9, 0)]
 
@@ -225,10 +264,10 @@ def test_cell_on_the_pool_matches_runs_in_turn(monkeypatch, cell, runner):
     _force(monkeypatch, IN_TURN)
     alone = [runner(make_problem("rastrigin", 10, seed=0), c) for c in configs]
     _force(monkeypatch, THREADED, cores=3)
-    problem = _Problem(make_problem("rastrigin", 10, seed=0))
+    problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
     pooled = cell(problem, configs)
     assert [_as_tuple(r) for r in pooled] == [_as_tuple(r) for r in alone]
-    assert threading.get_ident() not in problem.batch_threads[-3:]
+    assert problem.split_after_timing(_timed_batches(runner, 2 * len(configs)), 50, 3)
     assert len(problem.threads) > 1
     assert len({len(r.trace) for r in alone}) > 1
 
@@ -265,13 +304,65 @@ def test_burst_cost_picks_the_path(monkeypatch):
         results, problems = [], []
         for tick in (0.0, 1.0):
             monkeypatch.setattr(swarm_mod.time, "perf_counter", _Clock(tick))
-            problems.append(_Problem(make_problem("sphere", 10, seed=0)))
-            results.append(runner(problems[-1], config))
+            problem = _mark_chunks(monkeypatch, _Problem(make_problem("sphere", 10, seed=0)))
+            problems.append(problem)
+            results.append(runner(problem, config))
         cheap, costly = problems
         assert cheap.threads == {threading.get_ident()}, runner.__name__
         timed = _timed_batches(runner, config.n_fireworks)
-        assert costly.pooled_after_timing(timed), runner.__name__
+        assert costly.split_after_timing(timed, 50, 2), runner.__name__
         assert _as_tuple(results[1]) == _as_tuple(results[0]), runner.__name__
+
+
+@pytest.mark.parametrize(
+    "runs, cores", [(1, 2), (3, 3)], ids=["one-run-two-cores", "three-runs-three-cores"]
+)
+def test_pool_has_one_thread_fewer_than_the_workers(monkeypatch, runs, cores):
+    # the calling thread explodes the first chunk of each pooled generation,
+    # so a cell on min(R * n_fireworks, cores) threads starts one fewer
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(swarm_mod, "ThreadPoolExecutor", Pool)
+    _force(monkeypatch, THREADED, cores=cores)
+    problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
+    run_cell(problem, [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(runs)])
+    assert sizes == [cores - 1]
+    assert problem.split_after_timing(TIMED * 2 * runs, 50, cores)
+
+
+@needs_blas
+@pytest.mark.parametrize("on_caller", [True, False], ids=["calling-thread", "pool-thread"])
+def test_failed_chunk_raises_and_leaves_no_pool_thread(monkeypatch, on_caller):
+    # the objective fails in a pooled generation only on the calling thread,
+    # or only on a pool thread: either way the cell raises that error after
+    # its pool threads have ended, and restores the BLAS thread count
+    where = "calling thread" if on_caller else "pool thread"
+    caller = threading.get_ident()
+
+    class Fails(_Problem):
+        def evaluate_batch(self, xs):
+            if self.pooled and (threading.get_ident() == caller) == on_caller:
+                raise RuntimeError(f"objective failed on a {where}")
+            return super().evaluate_batch(xs)
+
+    _force(monkeypatch, THREADED, cores=3)
+    problem = _mark_chunks(monkeypatch, Fails(make_problem("rastrigin", 10, seed=0)))
+    alive = set(threading.enumerate())
+    before = blas.threads()
+    try:
+        blas.set_threads(2)
+        with pytest.raises(RuntimeError, match=f"failed on a {where}"):
+            run_cell(problem, [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(3)])
+        assert blas.threads() == 2
+    finally:
+        blas.set_threads(before)
+    assert set(threading.enumerate()) == alive
+    assert problem.pooled
 
 
 def test_one_core_explodes_in_turn(monkeypatch):
