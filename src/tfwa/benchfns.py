@@ -5,6 +5,15 @@ seeded shift drawn from the centre half of the box and ``R`` a seeded
 rotation matrix; the optimum therefore sits at ``x = o`` with value 0.
 Rosenbrock internally works on ``z + 1`` so its optimum is also relocated
 to the shift.
+
+A kernel takes the rotated (n, d) batch ``z`` that
+:meth:`BenchmarkProblem.evaluate_batch` made and owns it: it may overwrite
+``z`` and holds at most one other array of that size, so an evaluation never
+needs more than two batch-sized arrays and never writes to the caller's
+points.  Each kernel applies the same elementwise operations in the same order
+as its textbook expression (an in-place ``z *= c`` for ``c * z`` only swaps
+commutative IEEE operands), so the values are bit for bit those of that
+expression.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ def _register(name):
 
 @_register("sphere")
 def _sphere(z):
-    return (z * z).sum(axis=1)
+    z *= z
+    return z.sum(axis=1)
 
 
 @functools.cache
@@ -44,35 +54,64 @@ def _elliptic_coef(d):
 
 @_register("elliptic")
 def _elliptic(z):
-    return (_elliptic_coef(z.shape[1]) * z * z).sum(axis=1)
+    # (coef * z) * z
+    cz = _elliptic_coef(z.shape[1]) * z
+    cz *= z
+    return cz.sum(axis=1)
 
 
 @_register("rosenbrock")
 def _rosenbrock(z):
-    # optimum relocated to z = 0 by working on z + 1
-    zr = z + 1.0
-    a, b = zr[:, :-1], zr[:, 1:]
-    return (100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2).sum(axis=1)
+    # optimum relocated to z = 0 by working on z + 1:
+    # 100 (b - a^2)^2 + (a - 1)^2 with a, b the leading and trailing d - 1
+    # coordinates of z + 1
+    z += 1.0
+    a, b = z[:, :-1], z[:, 1:]
+    out = a * a
+    np.subtract(b, out, out=out)
+    out *= out
+    out *= 100.0
+    # b is spent, so square a - 1 over the whole of z: contiguous operands
+    # keep numpy from allocating iteration buffers
+    z -= 1.0
+    z *= z
+    out += a
+    return out.sum(axis=1)
+
+
+def _cos_2pi(z):
+    """cos(2 pi z) as a new array."""
+    c = (2.0 * math.pi) * z
+    return np.cos(c, out=c)
 
 
 @_register("ackley")
 def _ackley(z):
     d = z.shape[1]
-    quad = np.sqrt((z * z).sum(axis=1) / d)
-    cosm = np.cos(2.0 * math.pi * z).sum(axis=1) / d
+    cosm = _cos_2pi(z).sum(axis=1) / d
+    z *= z
+    quad = np.sqrt(z.sum(axis=1) / d)
     return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
 
 
 @_register("rastrigin")
 def _rastrigin(z):
-    return (z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0).sum(axis=1)
+    # z^2 - 10 cos(2 pi z) + 10
+    c = _cos_2pi(z)
+    c *= 10.0
+    z *= z
+    z -= c
+    z += 10.0
+    return z.sum(axis=1)
 
 
 @_register("griewank")
 def _griewank(z):
     d = z.shape[1]
-    quad = (z * z).sum(axis=1) / 4000.0
-    prod = np.cos(z / np.sqrt(np.arange(1, d + 1))).prod(axis=1)
+    c = z / np.sqrt(np.arange(1, d + 1))
+    prod = np.cos(c, out=c).prod(axis=1)
+    z *= z
+    quad = z.sum(axis=1) / 4000.0
     return quad - prod + 1.0
 
 
@@ -87,9 +126,12 @@ def _lunacek_bi_rastrigin(z):
     mu0 = 2.5
     s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
     mu1 = -math.sqrt((mu0 * mu0 - 1.0) / s)
-    funnel_a = (z * z).sum(axis=1)
-    funnel_b = d + s * ((z + (mu0 - mu1)) ** 2).sum(axis=1)
-    ripple = 10.0 * (d - np.cos(2.0 * math.pi * z).sum(axis=1))
+    ripple = 10.0 * (d - _cos_2pi(z).sum(axis=1))
+    zb = z + (mu0 - mu1)
+    zb *= zb
+    funnel_b = d + s * zb.sum(axis=1)
+    z *= z
+    funnel_a = z.sum(axis=1)
     return np.minimum(funnel_a, funnel_b) + ripple
 
 
@@ -115,6 +157,7 @@ class BenchmarkProblem:
             raise ValueError(f"expected (n, {self.dim}) batch, got {xs.shape}")
         if not np.isfinite(xs).all():
             raise ValueError("evaluation points must be finite")
+        # a new array, so the kernel may overwrite it
         z = (xs - self.shift) @ self.rotation.T
         return _KERNELS[self.name](z)
 

@@ -284,8 +284,12 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
     c_cn, c_sn, h_gate, c_1a = dynamic_rates(params, state.scale, state.path_s, state.gen_count)
     root = np.sqrt(state.eigvals)
 
-    draws, s = t_draws(state.eigvecs * root, state.df, lam, rng)
-    xs = repair_bounds(state.mean + state.scale * draws, objective.lb, objective.ub, rng)
+    # mean + scale * draws, in place; repair_bounds returns a copy, so the
+    # rebinding frees the draws before the sparks are evaluated
+    xs, s = t_draws(state.eigvecs * root, state.df, lam, rng)
+    xs *= state.scale
+    xs += state.mean
+    xs = repair_bounds(xs, objective.lb, objective.ub, rng)
     fits = _evaluate_all(objective, xs)
 
     order = np.argsort(fits, kind="stable")

@@ -1,11 +1,13 @@
 """Benchmark suite: instance seeding, optima, rotations, known values."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tfwa.benchfns import PROBLEM_NAMES, make_problem
+from tfwa.benchfns import _KERNELS, PROBLEM_NAMES, make_problem
 
 ALL_NAMES = sorted(PROBLEM_NAMES)
 
@@ -182,3 +184,87 @@ def test_values_finite_and_non_negative(name, coords):
     value = problem.evaluate(np.array(coords))
     assert np.isfinite(value)
     assert value >= 0.0
+
+
+# Each kernel as the one expression that allocates all its temporaries; the
+# in-place kernels must give these bits.
+
+
+def _sphere_reference(z):
+    return (z * z).sum(axis=1)
+
+
+def _elliptic_reference(z):
+    coef = 10.0 ** (6.0 * np.arange(z.shape[1]) / (z.shape[1] - 1))
+    return (coef * z * z).sum(axis=1)
+
+
+def _rosenbrock_reference(z):
+    zr = z + 1.0
+    a, b = zr[:, :-1], zr[:, 1:]
+    return (100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2).sum(axis=1)
+
+
+def _ackley_reference(z):
+    d = z.shape[1]
+    quad = np.sqrt((z * z).sum(axis=1) / d)
+    cosm = np.cos(2.0 * math.pi * z).sum(axis=1) / d
+    return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
+
+
+def _rastrigin_reference(z):
+    return (z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0).sum(axis=1)
+
+
+def _griewank_reference(z):
+    d = z.shape[1]
+    quad = (z * z).sum(axis=1) / 4000.0
+    prod = np.cos(z / np.sqrt(np.arange(1, d + 1))).prod(axis=1)
+    return quad - prod + 1.0
+
+
+def _lunacek_bi_rastrigin_reference(z):
+    d = z.shape[1]
+    mu0 = 2.5
+    s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
+    mu1 = -math.sqrt((mu0 * mu0 - 1.0) / s)
+    funnel_a = (z * z).sum(axis=1)
+    funnel_b = d + s * ((z + (mu0 - mu1)) ** 2).sum(axis=1)
+    ripple = 10.0 * (d - np.cos(2.0 * math.pi * z).sum(axis=1))
+    return np.minimum(funnel_a, funnel_b) + ripple
+
+
+_REFERENCE = {
+    "sphere": _sphere_reference,
+    "elliptic": _elliptic_reference,
+    "rosenbrock": _rosenbrock_reference,
+    "ackley": _ackley_reference,
+    "rastrigin": _rastrigin_reference,
+    "griewank": _griewank_reference,
+    "lunacek_bi_rastrigin": _lunacek_bi_rastrigin_reference,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 10, 100])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_in_place_kernel_matches_reference_bits(name, dim):
+    rng = np.random.default_rng(dim)
+    for magnitude in (1e-3, 1e-1, 1.0, 10.0, 1e2, 1e4, 1e6):
+        z = magnitude * rng.standard_normal((64, dim))
+        expected = _REFERENCE[name](z)
+        got = _KERNELS[name](z.copy())
+        assert got.dtype == np.float64 and got.shape == (64,)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), magnitude
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_evaluation_leaves_the_callers_points(name):
+    # the kernels overwrite the rotated batch, never the points it came from
+    problem = make_problem(name, 10, seed=4)
+    xs = np.random.default_rng(4).uniform(-100, 100, size=(20, 10))
+    before = xs.tobytes()
+    problem.evaluate_batch(xs)
+    assert xs.tobytes() == before
+    x = xs[3]
+    problem.evaluate(x)
+    assert xs.tobytes() == before
