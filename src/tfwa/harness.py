@@ -16,13 +16,15 @@ seeded runs and writes four artifacts into the output directory:
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
 runner.  ``--workers N`` runs the grid on N processes, the calling one among
-them: it starts a pool of N - 1 workers (none when N is 1), and each of the
-N processes claims the next job in grid order from one shared counter until
-none is left.  When there are fewer cells than workers, each cell is split
-into ``ceil(workers / cells)`` contiguous chunks of repetitions, so that no
-worker sits idle; the rows are reassembled in grid order.  Only each run's
-four numbers come back from a job, so the calling process holds rows, not
-traces, and writes the three grid files once every job has ended.
+them: it starts a pool of N - 1 workers (none when N is 1), and the calling
+process makes every claim, taking the next job in grid order under one lock
+until none is left: its own between its runs, and each pool worker's as that
+worker's previous job ends.  When there are fewer cells than workers, each
+cell is split into ``ceil(workers / cells)`` contiguous chunks of
+repetitions, so that no worker sits idle; the rows are reassembled in grid
+order.  Only each run's four numbers come back from a job, so the calling
+process holds rows, not traces, and writes the three grid files once every
+job has ended.
 
 ``compare`` and ``rank`` read results files as one sample per algorithm per
 file: ``compare`` applies the rank-sum test per function to exactly two
@@ -36,8 +38,8 @@ import contextlib
 import csv
 import json
 import math
-import multiprocessing
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -307,52 +309,6 @@ def _run_cells(job):
     ]
 
 
-# The job counter and jobs of the grid a pool worker claims from, set by the
-# pool's initializer, :func:`_join_grid`.
-_grid = None
-
-
-def _join_grid(processes, counter, jobs):
-    """Make this pool worker one of a grid's ``processes``: it shares their
-    cores and claims ``jobs`` from ``counter``."""
-    global _grid
-    _share_cores(processes)
-    _grid = counter, jobs
-
-
-def _claim_grid_jobs():
-    """A pool worker's share of its grid: :func:`_claim_jobs` on the grid
-    :func:`_join_grid` gave it."""
-    return _claim_jobs(*_grid)
-
-
-def _claim_jobs(counter, jobs):
-    """Run the jobs claimed from ``counter`` until none is left; returns
-    ``(index, outcomes)`` per job run.
-
-    Each claim takes the next job index in grid order.  A job that raises
-    stops the claims (:func:`_stop_claims`), and the error propagates.
-    """
-    claimed = []
-    while True:
-        with counter.get_lock():
-            index = counter.value
-            counter.value = index + 1
-        if index >= len(jobs):
-            return claimed
-        try:
-            claimed.append((index, _run_cells(jobs[index])))
-        except BaseException:
-            _stop_claims(counter, jobs)
-            raise
-
-
-def _stop_claims(counter, jobs):
-    """Move ``counter`` past the last job, so that no claimer starts another."""
-    with counter.get_lock():
-        counter.value = len(jobs)
-
-
 def validate_experiment(config: ExperimentConfig):
     """Raise ValueError on unknown names or malformed grids before any run."""
     for label in ("suite", "dims", "algos"):
@@ -420,13 +376,15 @@ def run_experiment(config: ExperimentConfig):
     an earlier grid left there are deleted.  A job is a contiguous chunk of
     one cell's repetitions (see the module docstring).  ``config.workers``
     processes run the jobs, this one among them (fewer when there are fewer
-    jobs), each claiming the next job in grid order until none is left; the
-    others are a process pool, not started when there is only this one.  A
-    job that raises stops further claims, and its error propagates once the
-    jobs already running have ended.  Each run's trace is written by the
-    process that ran it, as soon as its job's runs end; the other three
-    files are written once every job has ended, so a grid that raises
-    part-way can leave the traces of finished jobs and no ``results.csv``.
+    jobs); the others are a process pool, not started when there is only
+    this one.  This process makes every claim of the next job in grid order:
+    its own between its runs, and each pool worker's as that worker's
+    previous job ends.  A job that raises, or a pool worker that dies, stops
+    further claims, and the error propagates once the jobs already running
+    have ended.  Each run's trace is written by the process that ran it, as
+    soon as its job's runs end; the other three files are written once every
+    job has ended, so a grid that raises part-way can leave the traces of
+    finished jobs and no ``results.csv``.
     While a process runs jobs, its runs explode fireworks on threads only
     from its share of the cores (``swarm._cores``).  A trace line spells
     floats as ``float.__repr__`` does (``NaN``, ``Infinity`` and
@@ -455,37 +413,59 @@ def run_experiment(config: ExperimentConfig):
         for chunk in _chunks(configs, parts):
             jobs.append(((name, dim, config.base_seed), algo, chunk, config.out_dir))
 
-    # this process claims jobs beside processes - 1 pool workers, and they
-    # all share the cores, so a run explodes its fireworks on threads only
-    # where its process has cores to spare
+    # this process runs jobs beside processes - 1 pool workers, and they all
+    # share the cores, so a run explodes its fireworks on threads only where
+    # its process has cores to spare
     processes = min(config.workers, len(jobs))
     if processes > 1:
-        counter = multiprocessing.Value("q", 0)
-        pool = ProcessPoolExecutor(
-            processes - 1, initializer=_join_grid, initargs=(processes, counter, jobs)
-        )
+        pool = ProcessPoolExecutor(processes - 1, initializer=_share_cores, initargs=(processes,))
     else:
-        # one claimer needs no lock
-        counter = SimpleNamespace(value=0, get_lock=contextlib.nullcontext)
         pool = contextlib.nullcontext()
+    # every claim is made here, under one lock, in grid order: this process
+    # takes its own next job between its runs, and each pool job takes the
+    # pool's next as it ends; a job that raises, or a pool worker that dies,
+    # empties the claims, so nothing waits on a process that is gone
+    claims = iter(range(len(jobs)))
+    lock = threading.Lock()
+    submitted = []
 
-    def stop_if_failed(worker):
-        # a worker that dies cannot stop the claims itself
-        if worker.exception() is not None:
-            _stop_claims(counter, jobs)
+    def claim():
+        with lock:
+            return next(claims, None)
 
+    def stop():
+        with lock:
+            for _ in claims:
+                pass
+
+    def feed(done=None):
+        if done is not None and done.exception() is not None:
+            return stop()
+        with lock:
+            index = next(claims, None)
+            if index is None:
+                return
+            future = pool.submit(_run_cells, jobs[index])
+            submitted.append((index, future))
+        # outside the lock: a future that has already ended calls feed at once
+        future.add_done_callback(feed)
+
+    outcomes = {}
     with pool:
-        workers = [pool.submit(_claim_grid_jobs) for _ in range(processes - 1)]
-        for worker in workers:
-            worker.add_done_callback(stop_if_failed)
+        for _ in range(processes - 1):
+            feed()
         sharing = _share_cores(processes)
         try:
-            claimed = _claim_jobs(counter, jobs)
+            for index in iter(claim, None):
+                outcomes[index] = _run_cells(jobs[index])
+        except BaseException:
+            stop()
+            raise
         finally:
             _share_cores(sharing)
-        for worker in workers:
-            claimed += worker.result()
-    outcomes = dict(claimed)
+        # the claims are empty, so every pool job has been submitted
+        for index, future in submitted:
+            outcomes[index] = future.result()
 
     rows = []
     for index, ((name, dim, _), algo, configs, _) in enumerate(jobs):

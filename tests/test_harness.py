@@ -8,15 +8,17 @@ import numbers
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import tfwa.harness
@@ -33,7 +35,7 @@ from tfwa.harness import (
     run_experiment,
     validate_experiment,
 )
-from tfwa.benchfns import make_problem
+from tfwa.benchfns import PROBLEM_NAMES, make_problem
 from tfwa.swarm import SwarmConfig, TraceRecord
 from tfwa.tdist import DF_CAP
 
@@ -404,7 +406,7 @@ ONE_CELL = dict(suite=("rastrigin",), dims=(2,), algos=("uniform-fwa",), reps=5,
 # the one cell's five repetitions in one chunk per worker, keyed by first seed
 ONE_CELL_JOBS = {
     workers: [f"rastrigin/uniform-fwa/{seed}" for seed in seeds]
-    for workers, seeds in {1: (0,), 2: (0, 3), 3: (0, 2, 4)}.items()
+    for workers, seeds in {1: (0,), 2: (0, 3), 3: (0, 2, 4), 4: (0, 2, 3, 4)}.items()
 }
 
 
@@ -424,27 +426,31 @@ def fork_pool(monkeypatch):
     return sizes
 
 
-def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False):
+def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False, caller_pause=0.0):
     """Make each job append ``<pid> <problem>/<algo>/<first seed>`` to
     ``log`` as it starts; the job named ``fail`` then raises, a pool
     worker's first job ends its process when ``worker_exits`` is set, and
-    the other jobs wait ``pause`` seconds before they run."""
-    real = tfwa.harness._run_cells
+    the other jobs wait ``pause`` seconds before they run, plus
+    ``caller_pause`` in this process.  It wraps the cell runners, which
+    ``_run_cells`` looks up when it runs, in a forked pool worker too."""
     caller = os.getpid()
 
-    def run_cells(job):
-        (name, _, _), algo, configs, _ = job
-        key = f"{name}/{algo}/{configs[0].seed}"
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {key}\n")
-        if key == fail:
-            raise RuntimeError(f"job {key} failed")
-        if worker_exits and os.getpid() != caller:
-            os._exit(1)
-        time.sleep(pause)
-        return real(job)
+    def logged(algo, runner):
+        def run(problem, configs):
+            key = f"{problem.name}/{algo}/{configs[0].seed}"
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {key}\n")
+            if key == fail:
+                raise RuntimeError(f"job {key} failed")
+            if worker_exits and os.getpid() != caller:
+                os._exit(1)
+            time.sleep(pause + (caller_pause if os.getpid() == caller else 0.0))
+            return runner(problem, configs)
 
-    monkeypatch.setattr(tfwa.harness, "_run_cells", run_cells)
+        return run
+
+    for algo, name in tfwa.harness._RUNNERS.items():
+        monkeypatch.setattr(tfwa.harness, name, logged(algo, getattr(tfwa.harness, name)))
 
 
 def _job_log(log):
@@ -452,19 +458,27 @@ def _job_log(log):
     return {int(pid) for pid, _ in lines}, [key for _, key in lines]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "grid, keys",
-    [(SIX_CELLS, dict.fromkeys((1, 2, 3), SIX_JOBS)), (ONE_CELL, ONE_CELL_JOBS)],
+    [(SIX_CELLS, dict.fromkeys((1, 2, 3, 4), SIX_JOBS)), (ONE_CELL, ONE_CELL_JOBS)],
     ids=["six-cells", "one-cell"],
 )
 def test_every_job_is_claimed_once(tmp_path, monkeypatch, fork_pool, grid, keys, workers):
-    # this process and workers - 1 pool workers claim the jobs between them,
-    # and the rows come back in grid order, as a grid on one process gives them
+    # this process and workers - 1 pool workers run the jobs between them,
+    # and the rows come back in grid order, as a grid on one process gives
+    # them; at four workers, more than a two-core machine has cores, three
+    # pool jobs' done-callbacks race this process for claims, which a short
+    # switch interval makes interleave often
     expected, _ = run_experiment(ExperimentConfig(**grid))
     log = tmp_path / "jobs.log"
     _log_jobs(monkeypatch, log)
-    rows, _ = run_experiment(ExperimentConfig(workers=workers, **grid))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows, _ = run_experiment(ExperimentConfig(workers=workers, **grid))
+    finally:
+        sys.setswitchinterval(interval)
     pids, claimed = _job_log(log)
     assert sorted(claimed) == sorted(keys[workers])
     assert fork_pool == ([workers - 1] if workers > 1 else [])
@@ -503,16 +517,70 @@ def test_failed_job_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_p
     assert tfwa.swarm._sharing == sharing
 
 
-def test_dead_worker_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_pool):
-    # a worker that dies cannot stop the claims itself; the grid must still
-    # end without this process running the jobs nobody had claimed.  One
-    # worker: a broken pool kills the others, which could hold the counter
+@pytest.mark.parametrize("workers", [2, 3])
+def test_dead_worker_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_pool, workers):
+    # a pool worker that dies ends its job's future with BrokenProcessPool,
+    # and that empties the claims this process holds, so the grid ends
+    # without this process running the jobs nobody had claimed; besides the
+    # pool's first jobs only this process's next claim can have started
     log = tmp_path / "jobs.log"
     _log_jobs(monkeypatch, log, pause=0.5, worker_exits=True)
     with pytest.raises(BrokenProcessPool):
-        run_experiment(ExperimentConfig(workers=2, **SIX_CELLS))
+        run_experiment(ExperimentConfig(workers=workers, **SIX_CELLS))
     _, started = _job_log(log)
-    assert set(started) <= set(SIX_JOBS[:3])
+    assert set(started) <= set(SIX_JOBS[: workers + 1])
+
+
+def test_pool_stays_busy_while_this_process_runs_a_long_job(tmp_path, monkeypatch, fork_pool):
+    # each pool job claims the pool's next as it ends, so the pool worker
+    # runs every other job while this process is still in its first one
+    expected, _ = run_experiment(ExperimentConfig(**SIX_CELLS))
+    log = tmp_path / "jobs.log"
+    _log_jobs(monkeypatch, log, caller_pause=2.0)
+    rows, _ = run_experiment(ExperimentConfig(workers=2, **SIX_CELLS))
+    lines = [line.split() for line in log.read_text().splitlines()]
+    per_pid = Counter(int(pid) for pid, _ in lines)
+    assert per_pid.pop(os.getpid()) == 1
+    assert list(per_pid.values()) == [5]
+    assert sorted(key for _, key in lines) == sorted(SIX_JOBS)
+    assert rows == expected
+
+
+def _grid_files(out):
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*.*"))
+        if path.name != "config.json"
+    }
+
+
+# one budget of 11 * dim covers initialisation and one generation at each dim
+@settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(grid=dict(suite=["sphere"], dims=[2], algos=["uniform-fwa"], reps=4, budget_multiplier=11))
+@given(
+    grid=hst.fixed_dictionaries(
+        {
+            "suite": hst.lists(hst.sampled_from(PROBLEM_NAMES), min_size=1, max_size=3, unique=True),
+            "dims": hst.lists(hst.sampled_from([2, 3, 5]), min_size=1, max_size=3, unique=True),
+            "algos": hst.lists(hst.sampled_from(ALGORITHMS), min_size=1, max_size=4, unique=True),
+            "reps": hst.integers(1, 4),
+            "budget_multiplier": hst.integers(11, 100),
+        }
+    )
+)
+def test_grid_files_do_not_depend_on_the_worker_count(fork_pool, grid):
+    # whichever process claims a job, and however a cell is chunked, the
+    # grid's files match those of one process, with one trace per row
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for workers in (1, 2, 3):
+            out = Path(tmp, f"w{workers}")
+            rows, _ = run_experiment(ExperimentConfig(workers=workers, out_dir=str(out), **grid))
+            files[workers] = _grid_files(out)
+            assert len(files[workers]) == 2 + len(rows)
+        assert files[1] == files[2] == files[3]
 
 
 def test_rerun_into_a_used_out_dir_drops_the_old_traces(tmp_path):

@@ -18,9 +18,8 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,8 +386,8 @@ def test_grid_workers_share_the_cores(monkeypatch):
     # fireworks explode in turn, the calling process's runs included
     class InlinePool:
         """A process pool that runs its initializer in this process, keeping
-        the core share a worker would note, and each job claimer when its
-        result is asked for, after the caller has claimed every job."""
+        the core share a worker would note, and each job when its result is
+        asked for, under that share, after the caller has run its own."""
 
         def __init__(self, processes, initializer, initargs):
             pools.append(processes)
@@ -403,12 +402,24 @@ def test_grid_workers_share_the_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn):
-            return SimpleNamespace(result=fn, add_done_callback=lambda callback: None)
+        def submit(self, fn, *args):
+            job = Future()
+
+            def result():
+                if not job.done():
+                    before = swarm_mod._sharing
+                    swarm_mod._sharing = shares[-1]
+                    try:
+                        job.set_result(fn(*args))
+                    finally:
+                        swarm_mod._sharing = before
+                return Future.result(job)
+
+            job.result = result
+            return job
 
     pools, shares, problems = [], [], []
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(harness_mod, "_grid", None)
     monkeypatch.setattr(harness_mod, "make_problem", lambda *args: _record(make_problem(*args)))
     monkeypatch.setattr(swarm_mod, "_sharing", 1)
     if hasattr(os, "sched_getaffinity"):
