@@ -10,8 +10,9 @@ seeded runs and writes four artifacts into the output directory:
   reads back to rerun the grid
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
   generation per firework: ``gen,fw,gap,df,scale,restart,best_gap``,
-  serialised by :func:`_trace_jsonl` and written by the process that ran
-  it, as soon as its job's runs end
+  formatted from the run's float64 trace buffer and written a block of rows
+  at a time by :func:`_write_trace`, in the process that ran it, as soon as
+  its job's runs end
 
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
@@ -50,7 +51,15 @@ import numpy as np
 
 from .baselines import gaussian_limit_cell, random_search_cell, uniform_fwa_cell
 from .benchfns import PROBLEM_NAMES, make_problem
-from .swarm import SwarmConfig, _chunks, _require_int, _share_cores, resolve_run_shape, run_cell
+from .swarm import (
+    TRACE_WIDTH,
+    SwarmConfig,
+    _chunks,
+    _require_int,
+    _share_cores,
+    resolve_run_shape,
+    run_cell,
+)
 
 # Algorithm name -> name of its cell runner in this module, which takes a
 # problem and a list of configs and returns one result per config.
@@ -250,20 +259,21 @@ class ExperimentConfig:
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
 
-# How json.dumps spells the non-finite floats; float.__repr__ gives the keys.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A trace is formatted and written this many rows at a time, so writing one
+# holds a block's text and numbers, never the whole file's.
+TRACE_BLOCK_ROWS = 128
+
+# One trace row as json.dumps writes a TraceRecord: %.0f spells gen and fw,
+# which the buffer holds as whole floats, as ints do, and %r spells a float
+# as float.__repr__ does
+_TRACE_LINE = (
+    '{"gen": %.0f, "fw": %.0f, "gap": %r, "df": %r, "scale": %r, "restart": %s, "best_gap": %r}\n'
+)
 
 
-def _json_number(x):
-    """``x`` as ``json.dumps`` writes it: ints as ints, floats by ``repr``."""
-    if isinstance(x, int):
-        return int.__repr__(x)
-    text = float.__repr__(float(x))
-    return _NON_FINITE.get(text, text)
-
-
-def _trace_jsonl(trace) -> str:
-    """A run's trace as JSONL text, one ``json.dumps`` object per record.
+def _write_trace(fh, trace):
+    """Write ``trace``, a :class:`~tfwa.swarm.Trace`, to the text file ``fh``
+    as JSONL, ``TRACE_BLOCK_ROWS`` rows at a time.
 
     Each line is byte for byte ``json.dumps`` of the record's fields in
     :class:`~tfwa.swarm.TraceRecord` order, ``{"gen": ..., "fw": ...,
@@ -272,13 +282,19 @@ def _trace_jsonl(trace) -> str:
     ``Infinity`` and ``-Infinity`` for the non-finite ones, and
     ``true``/``false`` for ``restart``.
     """
-    return "".join(
-        f'{{"gen": {rec.gen}, "fw": {rec.fw}, "gap": {_json_number(rec.gap)}, '
-        f'"df": {_json_number(rec.df)}, "scale": {_json_number(rec.scale)}, '
-        f'"restart": {"true" if rec.restart else "false"}, '
-        f'"best_gap": {_json_number(rec.best_gap)}}}\n'
-        for rec in trace
-    )
+    rows, step = trace.rows, TRACE_BLOCK_ROWS * TRACE_WIDTH
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step].tolist()
+        # restart, a row's sixth number, as json.dumps spells a bool
+        block[5::TRACE_WIDTH] = ["true" if r else "false" for r in block[5::TRACE_WIDTH]]
+        text = (_TRACE_LINE * (len(block) // TRACE_WIDTH)) % tuple(block)
+        # every number follows ": ", and only a non-finite float's repr
+        # starts with a letter or "-i"
+        fh.write(
+            text.replace(": nan", ": NaN")
+            .replace(": inf", ": Infinity")
+            .replace(": -inf", ": -Infinity")
+        )
 
 
 def _run_cells(job):
@@ -288,7 +304,9 @@ def _run_cells(job):
     When the job's ``out_dir`` is not ``None``, each run's trace is written
     to ``out_dir/traces/`` here, in the process that ran it, as soon as the
     cell runner returns, so no trace crosses a worker pool and the grid's
-    parent never holds one.
+    parent never holds one.  A run holds its trace as one float64 buffer, 56
+    bytes a row, and :func:`_write_trace` formats and writes it a block of
+    rows at a time, so no trace file's text is ever held whole.
     """
     problem_args, algo, configs, out_dir = job
     problem = make_problem(*problem_args)
@@ -297,7 +315,8 @@ def _run_cells(job):
         name, dim, base_seed = problem_args
         for cfg, result in zip(configs, results):
             path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{cfg.seed - base_seed}.jsonl")
-            path.write_text(_trace_jsonl(result.trace))
+            with open(path, "w") as fh:
+                _write_trace(fh, result.trace)
     return [
         (
             result.best_fitness - problem.f_star,

@@ -28,9 +28,11 @@ import math
 import numbers
 import os
 import time
+from array import array
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,7 +83,8 @@ class TraceRecord:
     ``gap`` is the firework's current fitness minus the problem optimum,
     ``best_gap`` the swarm-wide best-so-far gap after this generation's
     events, and ``restart`` marks generations in which this firework was
-    restarted (by the tournament or after a degenerate state).
+    restarted (by the tournament or after a degenerate state).  A run holds
+    its rows in a :class:`Trace` and builds a record only when one is read.
     """
 
     gen: int
@@ -93,17 +96,87 @@ class TraceRecord:
     best_gap: float
 
 
+# The numbers a trace row stores, one per TraceRecord field and in its order.
+TRACE_WIDTH = len(fields(TraceRecord))
+
+
+class Trace(Sequence):
+    """A run's trace: a read-only sequence of :class:`TraceRecord` over one
+    flat float64 buffer.
+
+    ``rows`` holds ``TRACE_WIDTH`` numbers per row, in field order, with
+    ``restart`` as 0 or 1, so a row takes 56 bytes; a record is built from
+    them each time one is read.  Every run's trace rows are exact in float64:
+    ``gen`` and ``fw`` are counts, and the others are floats.  Two traces are
+    equal when their buffers are.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=None):
+        self.rows = array("d") if rows is None else rows
+
+    @classmethod
+    def of(cls, records):
+        """The trace of ``records``, an iterable of :class:`TraceRecord`."""
+        rows = array("d")
+        for record in records:
+            rows.extend(astuple(record))
+        return cls(rows)
+
+    def __len__(self):
+        return len(self.rows) // TRACE_WIDTH
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("trace index out of range")
+        start = (index % n) * TRACE_WIDTH
+        return _record(*self.rows[start : start + TRACE_WIDTH])
+
+    def __iter__(self):
+        numbers = iter(self.rows)
+        return (_record(*row) for row in zip(*[numbers] * TRACE_WIDTH))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self):
+        return f"Trace({list(self)!r})"
+
+    @property
+    def restarts(self) -> int:
+        """The number of rows that mark a restart."""
+        # restart is a row's sixth number; a view, so nothing is copied
+        return int(np.count_nonzero(np.frombuffer(self.rows)[5::TRACE_WIDTH]))
+
+
+def _record(gen, fw, gap, df, scale, restart, best_gap):
+    return TraceRecord(int(gen), int(fw), gap, df, scale, restart != 0.0, best_gap)
+
+
 @dataclass
 class RunResult:
+    """A run's outcome.  ``trace`` is a :class:`Trace`; a list of
+    :class:`TraceRecord` given in its place is packed into one."""
+
     best_position: np.ndarray
     best_fitness: float
     evals_used: int
     generations: int
-    trace: list = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
+
+    def __post_init__(self):
+        if not isinstance(self.trace, Trace):
+            self.trace = Trace.of(self.trace)
 
     @property
     def restarts(self) -> int:
-        return sum(1 for r in self.trace if r.restart)
+        return self.trace.restarts
 
 
 def resolve_run_shape(problem, config: SwarmConfig):
@@ -317,16 +390,17 @@ def _chunks(items, parts):
 
 class _Run:
     """One run's record: its fireworks, evaluation count, best-so-far point,
-    trace and last generation, and the number ``k`` of its fireworks that
-    explode in the current generation.  Every algorithm's run writes its
-    trace rows through :meth:`record`, against the problem's ``f_star``."""
+    trace rows and last generation, and the number ``k`` of its fireworks
+    that explode in the current generation.  Every algorithm's run writes its
+    trace rows through :meth:`record`, against the problem's ``f_star``, into
+    one flat float64 buffer (see :class:`Trace`)."""
 
     def __init__(self, fireworks, f_star):
         self.fireworks = fireworks
         self.f_star = f_star
         self.evals = len(fireworks)
         self.best_f, self.best_x = math.inf, None
-        self.trace = []
+        self.rows = array("d")
         self.generations = 0
         self.k = 0
         self.restarted = set()
@@ -340,9 +414,7 @@ class _Run:
     def record(self, g, i, f, df, scale, restart):
         """Append firework ``i``'s row for generation ``g``, whose fitness is
         ``f``; its best gap is the run's best-so-far at this point."""
-        self.trace.append(
-            TraceRecord(g, i, f - self.f_star, df, scale, restart, self.best_f - self.f_star)
-        )
+        self.rows.extend((g, i, f - self.f_star, df, scale, restart, self.best_f - self.f_star))
 
     def restart(self, i, fresh):
         fw = self.fireworks[i] = fresh(self.fireworks[i])
@@ -351,7 +423,12 @@ class _Run:
         self.restarted.add(i)
 
     def result(self) -> RunResult:
-        return RunResult(self.best_x, self.best_f, self.evals, self.generations, self.trace)
+        """The run's result; its trace keeps an exact-size copy of the rows,
+        which the run record lets go."""
+        # a growing array over-allocates by about 1/16; the slice does not
+        rows, self.rows = self.rows, None
+        trace = Trace(rows[:])
+        return RunResult(self.best_x, self.best_f, self.evals, self.generations, trace)
 
 
 @blas.run_settings()

@@ -1,11 +1,13 @@
 """Experiment runner, file outputs, and CLI behaviour."""
 
 import csv
+import io
 import json
 import math
 import multiprocessing
 import numbers
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,14 +32,14 @@ from tfwa.harness import (
     ExperimentConfig,
     _run_cells,
     _summarise,
-    _trace_jsonl,
+    _write_trace,
     load_experiment,
     main,
     run_experiment,
     validate_experiment,
 )
 from tfwa.benchfns import PROBLEM_NAMES, make_problem
-from tfwa.swarm import SwarmConfig, TraceRecord
+from tfwa.swarm import RunResult, SwarmConfig, Trace, TraceRecord
 from tfwa.tdist import DF_CAP
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parent.parent / "experiments").glob("*.json"))
@@ -246,6 +249,13 @@ def test_one_cell_grid_is_identical_at_any_worker_count(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def _jsonl(trace):
+    """The text :func:`_write_trace` writes for ``trace``."""
+    fh = io.StringIO()
+    _write_trace(fh, trace)
+    return fh.getvalue()
+
+
 _SPECIAL_FLOATS = [
     math.nan,
     math.inf,
@@ -253,37 +263,58 @@ _SPECIAL_FLOATS = [
     -0.0,
     0.0,
     5e-324,
+    1e-310,
     2.2250738585072009e-308,
+    1e-300,
+    -1e300,
     1e16,
     0.1,
+    5.0,
+    -3.0,
 ]
-_TRACE_NUMBERS = hst.one_of(
+# a trace buffer holds float64s only: gen and fw as whole floats, read back as
+# ints, and gap, df, scale and best_gap as they were recorded
+_TRACE_FLOATS = hst.one_of(
     hst.floats(),
     hst.sampled_from(_SPECIAL_FLOATS),
     hst.sampled_from(_SPECIAL_FLOATS).map(np.float64),
     hst.floats().map(np.float64),
-    # json.dumps spells an int without a decimal point, whichever field holds it
-    hst.integers(min_value=2, max_value=2**30),
+    # whole numbers, which json.dumps spells with a ".0" as float.__repr__ does
+    hst.integers(min_value=-(2**53), max_value=2**53).map(float),
 )
+_TRACE_RECORDS = hst.lists(
+    hst.builds(
+        TraceRecord,
+        gen=hst.integers(min_value=0, max_value=10**9),
+        fw=hst.integers(min_value=0, max_value=64),
+        gap=_TRACE_FLOATS,
+        df=_TRACE_FLOATS,
+        scale=_TRACE_FLOATS,
+        restart=hst.booleans(),
+        best_gap=_TRACE_FLOATS,
+    ),
+    max_size=7,
+)
+_LONG_TRACE = [
+    TraceRecord(g // 2, g % 2, 0.1 * g, 5.0, 1e16 / (g + 1), g % 7 == 0, 1.0 / (g + 1))
+    for g in range(2 * tfwa.harness.TRACE_BLOCK_ROWS + 3)
+]
+
+
+def _record_bits(rec):
+    floats = (rec.gap, rec.df, rec.scale, rec.best_gap)
+    return (rec.gen, rec.fw, rec.restart, *(struct.pack("<d", x) for x in floats))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    records=hst.lists(
-        hst.builds(
-            TraceRecord,
-            gen=hst.integers(min_value=0, max_value=10**9),
-            fw=hst.integers(min_value=0, max_value=64),
-            gap=_TRACE_NUMBERS,
-            df=_TRACE_NUMBERS,
-            scale=_TRACE_NUMBERS,
-            restart=hst.booleans(),
-            best_gap=_TRACE_NUMBERS,
-        ),
-        max_size=4,
-    )
+    records=_TRACE_RECORDS,
+    block_rows=hst.sampled_from([1, 2, 3, tfwa.harness.TRACE_BLOCK_ROWS]),
 )
-def test_trace_jsonl_matches_json_dumps(records):
+@example(records=_LONG_TRACE, block_rows=tfwa.harness.TRACE_BLOCK_ROWS)
+def test_trace_jsonl_matches_json_dumps(records, block_rows):
+    # whatever the block size, and across block ends, the text is json.dumps
+    # of each record, line by line
     expected = "".join(
         json.dumps(
             {
@@ -299,7 +330,34 @@ def test_trace_jsonl_matches_json_dumps(records):
         + "\n"
         for rec in records
     )
-    assert _trace_jsonl(records) == expected
+    with mock.patch.object(tfwa.harness, "TRACE_BLOCK_ROWS", block_rows):
+        assert _jsonl(Trace.of(records)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_TRACE_RECORDS)
+@example(records=_LONG_TRACE)
+def test_trace_reads_back_its_records(records):
+    # a RunResult given a list packs it into a Trace, whose rows come back as
+    # the same records bit for bit, by iteration, index and slice
+    result = RunResult(np.zeros(2), 0.0, 0, 0, records)
+    trace = result.trace
+    assert isinstance(trace, Trace)
+    assert len(trace) == len(records)
+    expected = [_record_bits(rec) for rec in records]
+    assert [_record_bits(rec) for rec in trace] == expected
+    assert [_record_bits(trace[i]) for i in range(len(records))] == expected
+    assert [_record_bits(trace[i - len(records)]) for i in range(len(records))] == expected
+    assert [_record_bits(rec) for rec in trace[1::2]] == expected[1::2]
+    assert all(type(rec.gen) is int and type(rec.restart) is bool for rec in trace)
+    with pytest.raises(IndexError):
+        trace[len(records)]
+    assert result.restarts == sum(rec.restart for rec in records)
+    # equal as the records' values are, so a NaN makes two traces differ
+    has_nan = any(
+        math.isnan(x) for rec in records for x in (rec.gap, rec.df, rec.scale, rec.best_gap)
+    )
+    assert (trace == Trace.of(records)) is not has_nan
 
 
 def test_run_experiment_gaussian_limit_and_random_search(tmp_path):
@@ -366,7 +424,7 @@ def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, 
     written = {p.name: p.read_text() for p in (tmp_path / "traces").iterdir()}
     if traced:
         assert written == {
-            f"sphere_d2_{algo}_rep{rep}.jsonl": _trace_jsonl(result.trace)
+            f"sphere_d2_{algo}_rep{rep}.jsonl": _jsonl(result.trace)
             for rep, result in zip((1, 2), results)
         }
     else:

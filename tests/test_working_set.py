@@ -1,9 +1,12 @@
-"""Peak memory of one explosion and one batch evaluation, in spark-sized arrays.
+"""Peak memory of one explosion and one batch evaluation, in spark-sized
+arrays, and the memory of a run's trace.
 
 numpy reports its array buffers to ``tracemalloc``, so the traced peak above
 the start of a call counts the arrays the call holds at once.  At d = 100 an
 explosion draws lam = 500 sparks: one spark-sized (lam, d) float array is
-400 kB, and the pins below are multiples of it.
+400 kB, and the pins below are multiples of it.  A trace row is seven
+float64s, 56 bytes, while the run holds it, and a trace is written a block
+of rows at a time.
 """
 
 import math
@@ -12,8 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tfwa.harness
+from tfwa.baselines import uniform_fwa_run
 from tfwa.benchfns import PROBLEM_NAMES, make_problem
 from tfwa.explosion import FireworkState, derive_params, explode
+from tfwa.harness import _run_cells
+from tfwa.swarm import RunResult, SwarmConfig, TraceRecord
 
 DIM, LAM = 100, 500
 BATCH_BYTES = LAM * DIM * 8
@@ -62,3 +69,43 @@ def test_explode_holds_at_most_three_spark_arrays():
     explode(state, params, problem, rng)
     peak = _traced_peak(lambda: explode(state, params, problem, rng))
     assert peak <= 3.25 * BATCH_BYTES, peak / BATCH_BYTES
+
+
+def test_a_run_holds_its_trace_in_56_bytes_a_row():
+    # about 2000 rows: two uniform fireworks of ten sparks over 1000 generations
+    problem = make_problem("sphere", 2, seed=0)
+    config = SwarmConfig(seed=0, budget=20_000)
+    uniform_fwa_run(problem, config)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = uniform_fwa_run(problem, config)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    rows = len(result.trace)
+    assert rows > 1900
+    # the result's other fields and the objects around the buffer are the constant
+    assert held <= 7 * 8 * rows + 4096, held / rows
+
+
+def _trace_write_peak(tmp_path, monkeypatch, rows):
+    """Traced peak of a job whose one run has a trace of ``rows`` rows."""
+    trace = [
+        TraceRecord(g // 2, g % 2, 1.0 / (g + 1), 5.0, 100.0 / (g + 3), g % 9 == 0, 1.0 / (g + 2))
+        for g in range(rows)
+    ]
+    result = RunResult(np.zeros(2), 0.0, 0, 0, trace)
+    monkeypatch.setattr(tfwa.harness, "random_search_cell", lambda problem, configs: [result])
+    (tmp_path / "traces").mkdir(exist_ok=True)
+    job = (("sphere", 2, 0), "random-search", [SwarmConfig()], str(tmp_path))
+    _run_cells(job)
+    return _traced_peak(lambda: _run_cells(job))
+
+
+def test_writing_a_trace_holds_one_block(tmp_path, monkeypatch):
+    # ten times the rows would be ten times the peak if the file's text were
+    # built whole; a block at a time, the peak stays put
+    small = _trace_write_peak(tmp_path, monkeypatch, 2_000)
+    large = _trace_write_peak(tmp_path, monkeypatch, 20_000)
+    assert large <= 1.25 * small, (small, large)
