@@ -11,14 +11,7 @@ harness (grids, rank-sum statistics, the ``tfwa-bench`` CLI) lives in
 tfwa.harness`` runs it only once.
 """
 
-from .baselines import (
-    gaussian_limit_cell,
-    gaussian_limit_run,
-    random_search_cell,
-    random_search_run,
-    uniform_fwa_cell,
-    uniform_fwa_run,
-)
+from .baselines import random_search_cell, random_search_run, uniform_fwa_cell, uniform_fwa_run
 from .benchfns import PROBLEM_NAMES, BenchmarkProblem, make_problem
 from .explosion import (
     DegenerateStateError,
@@ -76,8 +69,6 @@ __all__ = [
     "fisher_monte_carlo",
     "fisher_scale_block",
     "fuse_weights",
-    "gaussian_limit_cell",
-    "gaussian_limit_run",
     "loser_out_check",
     "make_problem",
     "moment_identity_residuals",

@@ -1,8 +1,5 @@
 """Reference optimisers sharing the swarm's budget and restart accounting.
 
-* ``gaussian_limit_run``: the full swarm with degrees of freedom frozen at
-  the cap, so sampling is Gaussian and the natural weights are uniform;
-  isolates the contribution of heavy-tailed sampling.
 * ``uniform_fwa_run``: classic fireworks explosions, uniform in a shrinking
   or growing hypercube around each firework, driven by the swarm's
   generation loop and loser-out tournament; isolates the contribution of
@@ -10,23 +7,24 @@
 * ``random_search_run``: uniform sampling over the whole box, in its own
   block loop, recorded through the swarm's run record.
 
-Each has a cell entry point (``gaussian_limit_cell``, ``uniform_fwa_cell``,
-``random_search_cell``) that takes a problem and the configs of a grid
-cell's repetitions, which may differ only in their seeds, and returns one
-result per config, equal to the run's on its own.  The swarm's driver
-(``tfwa.swarm._drive``) seeds, starts and pins BLAS for the firework
-cells, so ``uniform_fwa_cell`` supplies only how to start, restart and
-explode a uniform firework, and one seed starts it at the t fireworks'
-means; random search keeps its own loop and BLAS pin, but keeps its
-best-so-far point, trace rows and result in the driver's run record
-(``tfwa.swarm._Run``), so a trace row means the same for all four.  Every
-runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate`` from the
-objective, and uses ``evaluate_batch`` when it has one.
+Each has a cell entry point (``uniform_fwa_cell``, ``random_search_cell``)
+that takes a problem and the configs of a grid cell's repetitions, which
+may differ only in their seeds, and returns one result per config, equal to
+the run's on its own.  The swarm's driver (``tfwa.swarm._drive``) seeds,
+starts and pins BLAS for the firework cells, so ``uniform_fwa_cell``
+supplies only how to start, restart and explode a uniform firework, and one
+seed starts it at the t fireworks' means; random search keeps its own loop
+and BLAS pin, but keeps its best-so-far point, trace rows and result in the
+driver's run record (``tfwa.swarm._Run``), so a trace row means the same
+for every algorithm.  Every runner needs only ``lb``, ``ub``, ``dim`` and
+``evaluate`` from the objective, and uses ``evaluate_batch`` when it has
+one.  The Gaussian limit needs no code here: it is the swarm run with
+``df_init`` at ``DF_CAP``, a row of the harness's algorithm table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +38,7 @@ from .swarm import (
     _fresh_firework,
     _Run,
     resolve_run_shape,
-    run,
-    run_cell,
 )
-from .tdist import DF_CAP
 
 # Uniform-firework amplitude: starts at this fraction of the box width, grows
 # by AMPLITUDE_GROWTH on improvement and shrinks by AMPLITUDE_DECAY otherwise,
@@ -55,17 +50,6 @@ AMPLITUDE_DECAY = 0.9
 # Random search draws and evaluates whole generations at a time, at most this
 # many coordinates per block and at least one generation.
 BLOCK_COORDS = 2**16
-
-
-def gaussian_limit_run(problem, config: SwarmConfig) -> RunResult:
-    """Swarm run with df at the Gaussian limit, where it stays."""
-    return run(problem, replace(config, df_init=DF_CAP))
-
-
-def gaussian_limit_cell(problem, configs) -> list:
-    """One :func:`gaussian_limit_run` result per config, from one
-    generation loop (:func:`tfwa.swarm.run_cell`)."""
-    return run_cell(problem, [replace(c, df_init=DF_CAP) for c in configs])
 
 
 @dataclass

@@ -84,10 +84,6 @@ class FireworkState:
         if self.eigvals is None or self.eigvecs is None:
             self.eigvals, self.eigvecs = np.linalg.eigh(self.shape)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
 
 @dataclass(frozen=True)
 class StrategyParams:
@@ -108,7 +104,6 @@ class StrategyParams:
     c_s: float
     c_1: float
     c_mu: float
-    c_n: float
     literal_psigma: bool = False
 
 
@@ -163,8 +158,8 @@ def derive_params(lam: int, dim: int, literal_psigma: bool = False) -> StrategyP
 
     The learning rates follow the standard cumulative-adaptation recipe:
     ``c_c`` and ``c_s`` are the path decay rates, ``c_1``/``c_mu`` the
-    rank-one and rank-mu shape learning rates, and ``c_n`` (step-size
-    damping) is tied to ``c_s``.
+    rank-one and rank-mu shape learning rates; ``c_s`` also damps the step
+    size.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
@@ -187,7 +182,6 @@ def derive_params(lam: int, dim: int, literal_psigma: bool = False) -> StrategyP
         c_s=c_s,
         c_1=c_1,
         c_mu=c_mu,
-        c_n=c_s,
         literal_psigma=literal_psigma,
     )
 
@@ -319,7 +313,7 @@ def explode(state: FireworkState, params: StrategyParams, objective, rng):
         path_s_new = (1.0 - params.c_s) * state.path_s + c_sn * back
 
         scale_new = state.scale * math.exp(
-            min(1.0, 0.5 * params.c_n * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
+            min(1.0, 0.5 * params.c_s * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
         )
 
         shape_new, vals_new, vecs_new = regularize_covariance(shape_new)

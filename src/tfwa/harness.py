@@ -49,7 +49,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .baselines import gaussian_limit_cell, random_search_cell, uniform_fwa_cell
+from .baselines import random_search_cell, uniform_fwa_cell
 from .benchfns import PROBLEM_NAMES, make_problem
 from .swarm import (
     TRACE_WIDTH,
@@ -60,16 +60,19 @@ from .swarm import (
     resolve_run_shape,
     run_cell,
 )
+from .tdist import DF_CAP
 
-# Algorithm name -> name of its cell runner in this module, which takes a
-# problem and a list of configs and returns one result per config.
-# ``_run_cells`` looks the runner up at call time, so a rebinding of the module
-# attribute (a profiling wrapper, say) sees every run.
+# The algorithm table: name -> (name of its cell runner in this module, the
+# swarm fields it sets).  A cell runner takes a problem and a list of configs
+# and returns one result per config; ``_run_cells`` sets the fields on every
+# config and looks the runner up at call time, so a rebinding of the module
+# attribute (a profiling wrapper, say) sees every run.  The Gaussian limit is
+# tfwa started at the df cap, where df stays.
 _RUNNERS = {
-    "tfwa": "run_cell",
-    "gaussian-limit": "gaussian_limit_cell",
-    "uniform-fwa": "uniform_fwa_cell",
-    "random-search": "random_search_cell",
+    "tfwa": ("run_cell", {}),
+    "gaussian-limit": ("run_cell", {"df_init": DF_CAP}),
+    "uniform-fwa": ("uniform_fwa_cell", {}),
+    "random-search": ("random_search_cell", {}),
 }
 ALGORITHMS = tuple(_RUNNERS)
 
@@ -310,7 +313,8 @@ def _run_cells(job):
     """
     problem_args, algo, configs, out_dir = job
     problem = make_problem(*problem_args)
-    results = globals()[_RUNNERS[algo]](problem, configs)
+    runner, overrides = _RUNNERS[algo]
+    results = globals()[runner](problem, [replace(c, **overrides) for c in configs])
     if out_dir is not None:
         name, dim, base_seed = problem_args
         for cfg, result in zip(configs, results):

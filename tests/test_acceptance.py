@@ -17,12 +17,7 @@ import numpy as np
 from numpy.random import default_rng
 from scipy import stats
 
-from tfwa.baselines import (
-    gaussian_limit_cell,
-    gaussian_limit_run,
-    random_search_run,
-    uniform_fwa_run,
-)
+from algorithms import ALGORITHMS, cell_of, run_of
 from tfwa.benchfns import make_problem
 from tfwa.explosion import adjust_degree_of_freedom
 from tfwa.harness import (
@@ -39,7 +34,7 @@ from tfwa.natgrad import (
     moment_identity_residuals,
     natgrad_weight,
 )
-from tfwa.swarm import SwarmConfig, run
+from tfwa.swarm import SwarmConfig
 from tfwa.tdist import DF_CAP, TDistribution
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -170,7 +165,7 @@ def test_criterion_5_gaussian_degeneration():
     ratio, ratio_cap = _weight_ratio(1.0e8), _weight_ratio(DF_CAP)
 
     problem = make_problem("sphere", 10, seed=0)
-    results = gaussian_limit_cell(problem, [SwarmConfig(seed=rep) for rep in range(30)])
+    results = cell_of("gaussian-limit")(problem, [SwarmConfig(seed=rep) for rep in range(30)])
     hits = sum(r.best_fitness - problem.f_star <= 1e-8 for r in results)
     ok = ratio < 1.001 and ratio_cap < 1.001 and hits >= 27
     _verdict(
@@ -220,9 +215,9 @@ def test_criterion_6_harness_invariants(tmp_path):
 
     mono_ok = True
     problem = make_problem("rastrigin", 5, seed=0)
-    for runner in (run, gaussian_limit_run, uniform_fwa_run, random_search_run):
+    for algo in ALGORITHMS:
         prev_best = math.inf
-        for rec in runner(problem, SwarmConfig(seed=3)).trace:
+        for rec in run_of(algo)(problem, SwarmConfig(seed=3)).trace:
             mono_ok = mono_ok and rec.best_gap <= prev_best + 1e-15
             prev_best = rec.best_gap
 

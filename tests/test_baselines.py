@@ -6,13 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from tfwa.baselines import (
-    BLOCK_COORDS,
-    gaussian_limit_run,
-    random_search_run,
-    uniform_fwa_run,
-    uniform_sparks,
-)
+from algorithms import run_of
+from tfwa.baselines import BLOCK_COORDS, random_search_run, uniform_fwa_run, uniform_sparks
 from tfwa.benchfns import make_problem
 from tfwa.swarm import RunResult, SwarmConfig, TraceRecord, resolve_run_shape
 from tfwa.tdist import DF_CAP
@@ -50,22 +45,22 @@ class _LinearProblem:
 
 def test_gaussian_limit_df_frozen_in_trace():
     problem = make_problem("sphere", 3, seed=0)
-    result = gaussian_limit_run(problem, SwarmConfig(seed=0, budget=2_000))
+    result = run_of("gaussian-limit")(problem, SwarmConfig(seed=0, budget=2_000))
     assert len(result.trace) > 0
     assert all(r.df == DF_CAP for r in result.trace)
 
 
 def test_gaussian_limit_converges_on_sphere():
     problem = make_problem("sphere", 10, seed=0)
-    result = gaussian_limit_run(problem, SwarmConfig(seed=0))
+    result = run_of("gaussian-limit")(problem, SwarmConfig(seed=0))
     assert result.best_fitness - problem.f_star < 1e-8
 
 
 def test_gaussian_limit_deterministic():
     problem = make_problem("ackley", 3, seed=0)
     config = SwarmConfig(seed=9, budget=2_000)
-    a = gaussian_limit_run(problem, config)
-    b = gaussian_limit_run(problem, config)
+    a = run_of("gaussian-limit")(problem, config)
+    b = run_of("gaussian-limit")(problem, config)
     assert a.best_fitness == b.best_fitness
     for ra, rb in zip(a.trace, b.trace):
         assert dataclasses.astuple(ra) == dataclasses.astuple(rb)

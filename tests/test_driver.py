@@ -26,22 +26,12 @@ from hypothesis import strategies as hst
 import tfwa.explosion as explosion_mod
 import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
-from tfwa.baselines import (
-    gaussian_limit_cell,
-    gaussian_limit_run,
-    random_search_cell,
-    random_search_run,
-    uniform_fwa_cell,
-    uniform_fwa_run,
-)
+from algorithms import ALGORITHMS, cell_of, run_of
+from tfwa.baselines import uniform_fwa_cell
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
 from tfwa.harness import ExperimentConfig, run_experiment
-from tfwa.swarm import SwarmConfig, TraceRecord, run, run_cell
-
-RUNNERS = [run, gaussian_limit_run, uniform_fwa_run, random_search_run]
-CELLS = [run_cell, gaussian_limit_cell, uniform_fwa_cell, random_search_cell]
-RUNNER_IDS = ["tfwa", "gaussian-limit", "uniform-fwa", "random-search"]
+from tfwa.swarm import SwarmConfig, TraceRecord, run
 
 
 class _Recording:
@@ -71,12 +61,12 @@ def _assert_in_box(points, lb, ub):
     )
 
 
-@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
-def test_asymmetric_box_keeps_optimum_and_starts_inside(runner):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_asymmetric_box_keeps_optimum_and_starts_inside(algo):
     problem = make_problem("sphere", 4, seed=0, lb=5.0, ub=10.0)
     _assert_in_box(problem.optimum()[0], 5.0, 10.0)
     recording = _Recording(problem)
-    runner(recording, SwarmConfig(seed=0, budget=400))
+    run_of(algo)(recording, SwarmConfig(seed=0, budget=400))
     _assert_in_box(recording.all_points(), 5.0, 10.0)
 
 
@@ -141,16 +131,17 @@ def _cases(draw):
     return problem, config
 
 
-@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @settings(max_examples=20, deadline=None)
 @given(case=_cases())
 @example(case=(_Lowered(make_problem("rastrigin", 3, seed=0)), SwarmConfig(seed=0, budget=300)))
-def test_run_invariants(runner, case):
+def test_run_invariants(algo, case):
     problem, config = case
+    runner = run_of(algo)
     recording = _Recording(problem)
     result = runner(recording, config)
 
-    slack = 0 if runner is random_search_run else config.n_fireworks
+    slack = 0 if algo == "random-search" else config.n_fireworks
     assert result.evals_used <= config.budget + slack
     _assert_in_box(problem.optimum()[0], problem.lb, problem.ub)
     _assert_in_box(recording.all_points(), problem.lb, problem.ub)
@@ -165,7 +156,7 @@ def test_run_invariants(runner, case):
     for r in result.trace:
         rows.setdefault(r.gen, []).append(r.fw)
     assert sorted(rows) == list(range(1, result.generations + 1))
-    per_gen = list(range(1 if runner is random_search_run else config.n_fireworks))
+    per_gen = list(range(1 if algo == "random-search" else config.n_fireworks))
     for g in range(1, result.generations):
         assert rows[g] == per_gen
     last = rows[result.generations]
@@ -201,14 +192,14 @@ class _NanSphere:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0])
 
 
-@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("nan_above", [50.0, -math.inf], ids=["nan-part", "nan-all"])
-def test_nan_fitness_counts_as_worst(runner, nan_above):
+def test_nan_fitness_counts_as_worst(algo, nan_above):
     problem = _NanSphere(5, nan_above)
     config = SwarmConfig(seed=1, budget=5000)
-    result = runner(problem, config)
+    result = run_of(algo)(problem, config)
 
-    slack = 0 if runner is random_search_run else config.n_fireworks
+    slack = 0 if algo == "random-search" else config.n_fireworks
     assert result.evals_used <= config.budget + slack
     assert not any(math.isnan(r.gap) or math.isnan(r.best_gap) for r in result.trace)
     if problem.finite:
@@ -226,8 +217,8 @@ _TRACE_FLOATS = {"gap", "df", "scale", "best_gap"}
 
 
 @pytest.mark.parametrize("objective", ["lowered", "nan-part", "nan-all"])
-@pytest.mark.parametrize("algo, runner", list(zip(RUNNER_IDS, RUNNERS)), ids=RUNNER_IDS)
-def test_trace_lines_are_the_run_records(tmp_path, monkeypatch, algo, runner, objective):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_trace_lines_are_the_run_records(tmp_path, monkeypatch, algo, objective):
     # each trace line holds its record's fields in order, floats bit for bit,
     # and its last line's best gap is the one results.csv reports
     def objective_for(name, dim, seed):
@@ -243,7 +234,8 @@ def test_trace_lines_are_the_run_records(tmp_path, monkeypatch, algo, runner, ob
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     for row in rows:
-        result = runner(objective_for("sphere", 3, 0), SwarmConfig(seed=int(row["seed"]), budget=300))
+        config = SwarmConfig(seed=int(row["seed"]), budget=300)
+        result = run_of(algo)(objective_for("sphere", 3, 0), config)
         path = out / "traces" / f"sphere_d3_{algo}_rep{row['rep']}.jsonl"
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == len(result.trace)
@@ -270,13 +262,13 @@ class _ScalarOnly:
         return self._problem.evaluate(x)
 
 
-@pytest.mark.parametrize("runner", RUNNERS, ids=RUNNER_IDS)
-def test_runner_needs_only_evaluate(runner):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_runner_needs_only_evaluate(algo):
     objective = _ScalarOnly(make_problem("rastrigin", 3, seed=0))
     config = SwarmConfig(seed=2, budget=600)
-    result = runner(objective, config)
+    result = run_of(algo)(objective, config)
 
-    slack = 0 if runner is random_search_run else config.n_fireworks
+    slack = 0 if algo == "random-search" else config.n_fireworks
     assert 0 < result.evals_used <= config.budget + slack
     assert result.generations > 0
     assert result.best_fitness == objective.evaluate(result.best_position)
@@ -298,17 +290,17 @@ _CELL_CONFIGS = [SwarmConfig(seed=s, budget=300, sparks_per_firework=6) for s in
 
 
 @pytest.mark.parametrize("objective", ["restarts-differ", "nan-part"])
-@pytest.mark.parametrize("cell, runner", list(zip(CELLS, RUNNERS)), ids=RUNNER_IDS)
-def test_cell_matches_runs(cell, runner, objective):
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cell_matches_runs(algo, objective):
     if objective == "nan-part":
         problem = _NanSphere(3, 20.0)
     else:
         problem = make_problem("ackley", 3, seed=0)
-    results = cell(problem, _CELL_CONFIGS)
+    results = cell_of(algo)(problem, _CELL_CONFIGS)
     assert [_as_tuple(r) for r in results] == [
-        _as_tuple(runner(problem, c)) for c in _CELL_CONFIGS
+        _as_tuple(run_of(algo)(problem, c)) for c in _CELL_CONFIGS
     ]
-    if objective == "restarts-differ" and runner is not random_search_run:
+    if objective == "restarts-differ" and algo != "random-search":
         assert len({r.generations for r in results}) > 1
 
 
@@ -322,12 +314,12 @@ def test_uniform_cell_evaluates_one_batch_per_generation(monkeypatch):
     assert len(batches[0]) == len(_CELL_CONFIGS) * 2 * 6
 
 
-@pytest.mark.parametrize("cell", CELLS, ids=RUNNER_IDS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize(
     "configs",
     [[], [SwarmConfig(seed=0), SwarmConfig(seed=1, eps=1e-3)]],
     ids=["empty", "differ-beyond-seed"],
 )
-def test_cell_rejects_configs_of_more_than_one_cell(cell, configs):
+def test_cell_rejects_configs_of_more_than_one_cell(algo, configs):
     with pytest.raises(ValueError, match="cell"):
-        cell(make_problem("sphere", 2, seed=0), configs)
+        cell_of(algo)(make_problem("sphere", 2, seed=0), configs)

@@ -105,7 +105,6 @@ def test_derive_params_frozen(lam, expected):
     p = derive_params(lam, 10)
     for name, value in expected.items():
         assert getattr(p, name) == pytest.approx(value, abs=1e-12), name
-    assert p.c_n == p.c_s
 
 
 @given(hst.integers(min_value=2, max_value=100), hst.integers(min_value=1, max_value=50))

@@ -377,6 +377,32 @@ def test_run_experiment_gaussian_limit_and_random_search(tmp_path):
     assert dfs == {DF_CAP}
 
 
+def test_gaussian_limit_row_is_tfwa_at_the_df_cap(tmp_path):
+    # the table's gaussian-limit row is tfwa with df_init at DF_CAP and
+    # nothing else: its grid writes the rows and traces of a tfwa grid with
+    # that swarm field, restarts included
+    grid = dict(suite=("sphere", "rastrigin"), dims=(2, 5), reps=2, budget_multiplier=300)
+    limit, _ = run_experiment(
+        ExperimentConfig(algos=("gaussian-limit",), out_dir=str(tmp_path / "limit"), **grid)
+    )
+    capped, _ = run_experiment(
+        ExperimentConfig(
+            algos=("tfwa",),
+            swarm=SwarmConfig(df_init=DF_CAP),
+            out_dir=str(tmp_path / "capped"),
+            **grid,
+        )
+    )
+    assert [{**row, "algo": "tfwa"} for row in limit] == capped
+    assert sum(row["restarts"] for row in limit) > 0
+    traces = {
+        p.name.replace("_gaussian-limit_", "_tfwa_"): p.read_bytes()
+        for p in (tmp_path / "limit" / "traces").iterdir()
+    }
+    assert len(traces) == len(limit)
+    assert traces == {p.name: p.read_bytes() for p in (tmp_path / "capped" / "traces").iterdir()}
+
+
 def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
     # a rebinding of the module attribute (a profiler's wrapper) sees every run
     real = tfwa.harness.uniform_fwa_cell
@@ -400,7 +426,7 @@ def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
 def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, algo, traced):
     # a job returns four numbers per run, and its runs' traces are on disk
     # by the time it returns
-    runner = tfwa.harness._RUNNERS[algo]
+    runner, _ = tfwa.harness._RUNNERS[algo]
     real, results = getattr(tfwa.harness, runner), []
 
     def keep(problem, configs):
@@ -458,12 +484,14 @@ SIX_CELLS = dict(
     budget_multiplier=100,
 )
 SIX_JOBS = [
-    f"{name}/{algo}/0" for name in SIX_CELLS["suite"] for algo in SIX_CELLS["algos"]
+    f"{name}/{tfwa.harness._RUNNERS[algo][0]}/0"
+    for name in SIX_CELLS["suite"]
+    for algo in SIX_CELLS["algos"]
 ]
 ONE_CELL = dict(suite=("rastrigin",), dims=(2,), algos=("uniform-fwa",), reps=5, budget_multiplier=100)
 # the one cell's five repetitions in one chunk per worker, keyed by first seed
 ONE_CELL_JOBS = {
-    workers: [f"rastrigin/uniform-fwa/{seed}" for seed in seeds]
+    workers: [f"rastrigin/uniform_fwa_cell/{seed}" for seed in seeds]
     for workers, seeds in {1: (0,), 2: (0, 3), 3: (0, 2, 4), 4: (0, 2, 3, 4)}.items()
 }
 
@@ -485,17 +513,18 @@ def fork_pool(monkeypatch):
 
 
 def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False, caller_pause=0.0):
-    """Make each job append ``<pid> <problem>/<algo>/<first seed>`` to
-    ``log`` as it starts; the job named ``fail`` then raises, a pool
+    """Make each job append ``<pid> <problem>/<cell runner>/<first seed>``
+    to ``log`` as it starts; the job named ``fail`` then raises, a pool
     worker's first job ends its process when ``worker_exits`` is set, and
     the other jobs wait ``pause`` seconds before they run, plus
-    ``caller_pause`` in this process.  It wraps the cell runners, which
-    ``_run_cells`` looks up when it runs, in a forked pool worker too."""
+    ``caller_pause`` in this process.  It wraps each cell runner once, as
+    algorithms may share one, and ``_run_cells`` looks the runners up when
+    it runs, in a forked pool worker too."""
     caller = os.getpid()
 
-    def logged(algo, runner):
+    def logged(name, runner):
         def run(problem, configs):
-            key = f"{problem.name}/{algo}/{configs[0].seed}"
+            key = f"{problem.name}/{name}/{configs[0].seed}"
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {key}\n")
             if key == fail:
@@ -507,8 +536,8 @@ def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False, caller
 
         return run
 
-    for algo, name in tfwa.harness._RUNNERS.items():
-        monkeypatch.setattr(tfwa.harness, name, logged(algo, getattr(tfwa.harness, name)))
+    for name in dict.fromkeys(name for name, _ in tfwa.harness._RUNNERS.values()):
+        monkeypatch.setattr(tfwa.harness, name, logged(name, getattr(tfwa.harness, name)))
 
 
 def _job_log(log):

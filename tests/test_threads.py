@@ -26,14 +26,9 @@ import pytest
 
 import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
+from algorithms import ALGORITHMS, cell_of, run_of
 from tfwa import blas
-from tfwa.baselines import (
-    gaussian_limit_cell,
-    gaussian_limit_run,
-    random_search_run,
-    uniform_fwa_cell,
-    uniform_fwa_run,
-)
+from tfwa.baselines import random_search_run, uniform_fwa_run
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
 from tfwa.harness import ExperimentConfig, run_experiment
@@ -48,6 +43,9 @@ TIMED = 2  # generations a run explodes in turn to time its bursts
 IN_TURN, THREADED = math.inf, 0.0  # burst-cost thresholds that force each path
 
 needs_blas = pytest.mark.skipif(blas.threads() is None, reason="no bundled OpenBLAS")
+
+# the algorithms whose fireworks the swarm's driver explodes, on threads or in turn
+FIREWORK_ALGOS = [algo for algo in ALGORITHMS if algo != "random-search"]
 
 
 class _Problem:
@@ -140,11 +138,11 @@ class _Clock:
         return self.now
 
 
-def _timed_batches(runner, n_fireworks):
+def _timed_batches(algo, n_fireworks):
     """The batches of a run's timed generations: a uniform generation
     evaluates all its fireworks' sparks in one, a t generation makes one per
     firework."""
-    return TIMED * (1 if runner is uniform_fwa_run else n_fireworks)
+    return TIMED * (1 if algo == "uniform-fwa" else n_fireworks)
 
 
 def _force(monkeypatch, min_burst_s, cores=2):
@@ -164,13 +162,9 @@ def _as_tuple(result):
     )
 
 
-@pytest.mark.parametrize(
-    "runner",
-    [run, gaussian_limit_run, uniform_fwa_run],
-    ids=["tfwa", "gaussian-limit", "uniform-fwa"],
-)
+@pytest.mark.parametrize("algo", FIREWORK_ALGOS)
 @pytest.mark.parametrize("tail", [0, LAM + 17], ids=["whole-generations", "ends-mid-generation"])
-def test_threaded_matches_in_turn(monkeypatch, runner, tail):
+def test_threaded_matches_in_turn(monkeypatch, algo, tail):
     # 8 generations use 2 + 8 * 2 * LAM evaluations plus at most 16 restarts,
     # so a tail of LAM + 17 leaves room for the first firework of a ninth
     config = SwarmConfig(seed=3, budget=2 + 8 * 2 * LAM + tail)
@@ -179,11 +173,11 @@ def test_threaded_matches_in_turn(monkeypatch, runner, tail):
         _force(monkeypatch, min_burst_s)
         problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", DIM, seed=0)))
         problems.append(problem)
-        results.append(runner(problem, config))
+        results.append(run_of(algo)(problem, config))
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert problems[0].threads == {threading.get_ident()}
-    assert problems[1].split_after_timing(_timed_batches(runner, config.n_fireworks), LAM, 2)
+    assert problems[1].split_after_timing(_timed_batches(algo, config.n_fireworks), LAM, 2)
     if tail:
         assert [(r.gen, r.fw) for r in in_turn.trace[-2:]] == [(8, 1), (9, 0)]
 
@@ -245,28 +239,20 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
     assert in_turn.evals_used <= config.budget + config.n_fireworks
 
 
-@pytest.mark.parametrize(
-    "cell, runner",
-    [
-        (run_cell, run),
-        (gaussian_limit_cell, gaussian_limit_run),
-        (uniform_fwa_cell, uniform_fwa_run),
-    ],
-    ids=["tfwa", "gaussian-limit", "uniform-fwa"],
-)
-def test_cell_on_the_pool_matches_runs_in_turn(monkeypatch, cell, runner):
+@pytest.mark.parametrize("algo", FIREWORK_ALGOS)
+def test_cell_on_the_pool_matches_runs_in_turn(monkeypatch, algo):
     # three runs' fireworks in chunks on three threads: 12 generations leave
     # 52 - restarts evaluations, so a run with at most two restarts explodes
     # one firework of a 13th and the others none; the runs' last outcomes
     # arrive in uneven chunks and must not mix into another run's
     configs = [SwarmConfig(seed=s, budget=2 + 12 * 2 * 50 + 52) for s in range(3)]
     _force(monkeypatch, IN_TURN)
-    alone = [runner(make_problem("rastrigin", 10, seed=0), c) for c in configs]
+    alone = [run_of(algo)(make_problem("rastrigin", 10, seed=0), c) for c in configs]
     _force(monkeypatch, THREADED, cores=3)
     problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
-    pooled = cell(problem, configs)
+    pooled = cell_of(algo)(problem, configs)
     assert [_as_tuple(r) for r in pooled] == [_as_tuple(r) for r in alone]
-    assert problem.split_after_timing(_timed_batches(runner, 2 * len(configs)), 50, 3)
+    assert problem.split_after_timing(_timed_batches(algo, 2 * len(configs)), 50, 3)
     assert len(problem.threads) > 1
     assert len({len(r.trace) for r in alone}) > 1
 
@@ -299,18 +285,18 @@ def test_burst_cost_picks_the_path(monkeypatch):
     # clock, not the host, decides which timed generations are costly
     monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
     config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 50)
-    for runner in (run, uniform_fwa_run):
+    for algo in ("tfwa", "uniform-fwa"):
         results, problems = [], []
         for tick in (0.0, 1.0):
             monkeypatch.setattr(swarm_mod.time, "perf_counter", _Clock(tick))
             problem = _mark_chunks(monkeypatch, _Problem(make_problem("sphere", 10, seed=0)))
             problems.append(problem)
-            results.append(runner(problem, config))
+            results.append(run_of(algo)(problem, config))
         cheap, costly = problems
-        assert cheap.threads == {threading.get_ident()}, runner.__name__
-        timed = _timed_batches(runner, config.n_fireworks)
-        assert costly.split_after_timing(timed, 50, 2), runner.__name__
-        assert _as_tuple(results[1]) == _as_tuple(results[0]), runner.__name__
+        assert cheap.threads == {threading.get_ident()}, algo
+        timed = _timed_batches(algo, config.n_fireworks)
+        assert costly.split_after_timing(timed, 50, 2), algo
+        assert _as_tuple(results[1]) == _as_tuple(results[0]), algo
 
 
 @pytest.mark.parametrize(
@@ -537,9 +523,9 @@ def test_algorithms_start_fireworks_at_same_means():
     config = SwarmConfig(n_fireworks=3, df_factors=(1.05, 10.0, 2.0), seed=7, budget=400)
     configs = [config, dataclasses.replace(config, seed=8)]
     starts = []
-    for cell in (run_cell, gaussian_limit_cell, uniform_fwa_cell):
+    for algo in FIREWORK_ALGOS:
         problem = _Problem(make_problem("sphere", 5, seed=0))
-        cell(problem, configs)
+        cell_of(algo)(problem, configs)
         starts.append(np.stack(problem.points[:6]))
     alone = []
     for c in configs:
