@@ -17,9 +17,9 @@ Each firework draws from its own generator, which the driver spawns from
 the run's seed, so its explosions do not depend on one another.  The driver
 therefore takes the repetitions of one grid cell through one generation loop
 (:func:`run_cell`), each run keeping its own budget, tournament and trace,
-and once a burst proves costly a generation's fireworks explode in chunks,
-the first on the calling thread and the others on a thread pool, with the
-same results as exploding them in turn and one run at a time.
+and once a burst proves costly a generation's fireworks explode in chunks on
+a thread pool, with the same results as exploding them in turn and one run
+at a time.
 """
 
 from __future__ import annotations
@@ -472,17 +472,14 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     firework, the rest of the cell explodes on ``workers = min(R *
     n_fireworks, cores)`` threads, where cores is this process's share of
     the cores it may run on (:func:`_cores`): each generation is cut into
-    up to ``workers`` contiguous chunks, the calling thread explodes the
-    first and a pool of ``workers - 1`` threads the others, so ``burst``
-    and the objective may be called from several threads at once; otherwise
-    the whole generation is one ``burst``.  Either way each run then handles
-    its outcomes in firework order: best-so-far tracking, restarts, the
-    tournament and the trace rows, so both paths, and a run on its own or
-    among others, give the same result.  The calling thread explodes a
-    chunk, rather than waiting, because each thread that allocates gets a
-    glibc heap arena of its own, which :func:`tfwa.blas.keep_heap` never
-    trims: the caller's arena is already grown by the timed generations, so
-    the cell holds one arena fewer.
+    up to ``workers`` contiguous chunks, which a pool of ``workers`` threads
+    explodes, so ``burst`` and the objective may be called from several
+    threads at once; otherwise the whole generation is one ``burst``.
+    Either way each run then handles its outcomes in firework order:
+    best-so-far tracking, restarts, the tournament and the trace rows, so
+    both paths, and a run on its own or among others, give the same result.
+    The pool threads allocate from the heap the timed generations grew,
+    since :func:`tfwa.blas.keep_heap` caps glibc at one arena.
     """
     n, eps = configs[0].n_fireworks, configs[0].eps
     f_star = float(getattr(problem, "f_star", 0.0))
@@ -529,15 +526,11 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
         while live:
             g += 1
             if g == 3 and workers > 1 and burst_s >= THREAD_MIN_BURST_S:
-                pool = stack.enter_context(ThreadPoolExecutor(workers - 1))
+                pool = stack.enter_context(ThreadPoolExecutor(workers))
 
                 def explode_all(fws):
-                    first, *rest = _chunks(fws, workers)
-                    futures = [pool.submit(burst, chunk) for chunk in rest]
-                    outcomes = list(burst(first))
-                    for future in futures:
-                        outcomes += future.result()
-                    return outcomes
+                    chunks = pool.map(burst, _chunks(fws, workers))
+                    return [outcome for chunk in chunks for outcome in chunk]
 
             batch = []
             for run in live:

@@ -3,10 +3,10 @@
 A run, or a cell of runs, times its first two generations, which explode in
 turn; when the cheaper of them took at least ``swarm.THREAD_MIN_BURST_S``
 per firework, the rest of its generations explode in contiguous chunks of
-the generation's fireworks, the calling thread taking the first and a thread
-pool the others.  Each firework draws from its own generator and each run
-handles its outcomes in firework order, so the threaded and the in-turn
-path, and a run alone or in a cell, must give the same run, bit for bit.
+the generation's fireworks on a thread pool.  Each firework draws from its
+own generator and each run handles its outcomes in firework order, so the
+threaded and the in-turn path, and a run alone or in a cell, must give the
+same run, bit for bit.
 Every run holds BLAS at one thread, which also makes a d=100 run independent
 of the thread count the process started with.
 """
@@ -15,11 +15,13 @@ import collections
 import dataclasses
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,20 +77,14 @@ class _Problem:
         return self.problem.evaluate_batch(xs)
 
     @property
-    def pooled(self):
-        """Whether a pooled generation has begun."""
-        return any(isinstance(entry, list) for entry in self.log)
-
-    @property
     def threads(self):
         """Threads that evaluated a batch."""
         return {entry[0] for entry in self.log if isinstance(entry, tuple)}
 
     def split_after_timing(self, timed, lam, workers):
         """Whether the first ``timed`` batches, the timed generations', ran on
-        the calling thread, and every later generation was pooled: the
-        calling thread evaluated the sparks of its first chunk and at most
-        ``workers - 1`` other threads those of the others."""
+        the calling thread, and every later generation was pooled: at most
+        ``workers`` other threads evaluated the sparks of all its chunks."""
         caller = threading.get_ident()
         head, generations = [], []
         for entry in self.log:
@@ -100,15 +96,12 @@ class _Problem:
                 head.append(entry[0])
         if head != [caller] * timed or not generations:
             return False
-        for sizes, points in generations:
-            on_caller = points.pop(caller, 0)
-            if (
-                on_caller != lam * sizes[0]
-                or sum(points.values()) != lam * sum(sizes[1:])
-                or len(points) > workers - 1
-            ):
-                return False
-        return True
+        return all(
+            caller not in points
+            and sum(points.values()) == lam * sum(sizes)
+            and len(points) <= workers
+            for sizes, points in generations
+        )
 
 
 def _mark_chunks(monkeypatch, problem):
@@ -302,9 +295,9 @@ def test_burst_cost_picks_the_path(monkeypatch):
 @pytest.mark.parametrize(
     "runs, cores", [(1, 2), (3, 3)], ids=["one-run-two-cores", "three-runs-three-cores"]
 )
-def test_pool_has_one_thread_fewer_than_the_workers(monkeypatch, runs, cores):
-    # the calling thread explodes the first chunk of each pooled generation,
-    # so a cell on min(R * n_fireworks, cores) threads starts one fewer
+def test_pool_has_one_thread_per_worker(monkeypatch, runs, cores):
+    # a cell on min(R * n_fireworks, cores) workers explodes every chunk of a
+    # pooled generation on a pool thread, the calling thread waiting
     sizes = []
 
     class Pool(ThreadPoolExecutor):
@@ -316,38 +309,50 @@ def test_pool_has_one_thread_fewer_than_the_workers(monkeypatch, runs, cores):
     _force(monkeypatch, THREADED, cores=cores)
     problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
     run_cell(problem, [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(runs)])
-    assert sizes == [cores - 1]
+    assert sizes == [cores]
     assert problem.split_after_timing(TIMED * 2 * runs, 50, cores)
 
 
 @needs_blas
-@pytest.mark.parametrize("on_caller", [True, False], ids=["calling-thread", "pool-thread"])
-def test_failed_chunk_raises_and_leaves_no_pool_thread(monkeypatch, on_caller):
-    # the objective fails in a pooled generation only on the calling thread,
-    # or only on a pool thread: either way the cell raises that error after
-    # its pool threads have ended, and restores the BLAS thread count
-    where = "calling thread" if on_caller else "pool thread"
-    caller = threading.get_ident()
+@pytest.mark.parametrize("failing", [0, 2], ids=["first-chunk", "later-chunk"])
+def test_failed_chunk_raises_and_leaves_no_pool_thread(monkeypatch, failing):
+    # an explosion fails in a pooled generation only in its first chunk, or
+    # only in its last: either way the cell raises that error after its pool
+    # threads have ended, and restores the BLAS thread count
+    chunk_of = {}  # id of each firework of the generation -> its chunk's index
+    pooled_on = set()  # threads that exploded a chunk
+    real_explode = swarm_mod.explode
 
-    class Fails(_Problem):
-        def evaluate_batch(self, xs):
-            if self.pooled and (threading.get_ident() == caller) == on_caller:
-                raise RuntimeError(f"objective failed on a {where}")
-            return super().evaluate_batch(xs)
+    def chunks(items, parts):
+        cut = _chunks(items, parts)
+        chunk_of.clear()
+        chunk_of.update((id(fw), k) for k, chunk in enumerate(cut) for fw in chunk)
+        return cut
+
+    def explode(state, params, objective, rng):
+        chunk = chunk_of.get(id(state))
+        if chunk is not None:
+            pooled_on.add(threading.get_ident())
+        if chunk == failing:
+            raise RuntimeError(f"explosion failed in chunk {failing}")
+        return real_explode(state, params, objective, rng)
 
     _force(monkeypatch, THREADED, cores=3)
-    problem = _mark_chunks(monkeypatch, Fails(make_problem("rastrigin", 10, seed=0)))
+    monkeypatch.setattr(swarm_mod, "_chunks", chunks)
+    monkeypatch.setattr(swarm_mod, "explode", explode)
     alive = set(threading.enumerate())
     before = blas.threads()
     try:
         blas.set_threads(2)
-        with pytest.raises(RuntimeError, match=f"failed on a {where}"):
-            run_cell(problem, [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(3)])
+        with pytest.raises(RuntimeError, match=f"failed in chunk {failing}"):
+            configs = [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(3)]
+            run_cell(make_problem("rastrigin", 10, seed=0), configs)
         assert blas.threads() == 2
     finally:
         blas.set_threads(before)
     assert set(threading.enumerate()) == alive
-    assert problem.pooled
+    assert len(set(chunk_of.values())) == 3
+    assert pooled_on and threading.get_ident() not in pooled_on
 
 
 def test_one_core_explodes_in_turn(monkeypatch):
@@ -514,6 +519,30 @@ def test_failed_run_restores_blas_threads():
         assert blas.threads() == 2
     finally:
         blas.set_threads(before)
+
+
+@needs_blas
+def test_kernel_names_the_core_openblas_runs():
+    assert blas.kernel()
+    if platform.machine() == "x86_64":
+        # a core that every x86-64 CPU with AVX runs, forced as CI's kernels job does
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge", PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from tfwa import blas; print(blas.kernel())"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout == "Sandybridge\n"
+
+
+def test_kernel_is_none_without_the_library_or_its_getter(monkeypatch):
+    monkeypatch.setattr(blas, "_lib", False)
+    assert blas.kernel() is None
+    monkeypatch.setattr(blas, "_lib", SimpleNamespace())  # a library without the getter
+    assert blas.kernel() is None
 
 
 def test_algorithms_start_fireworks_at_same_means():
