@@ -1,7 +1,8 @@
 """One BLAS thread per run, and a heap that keeps its freed memory.
 
 numpy's wheels bundle OpenBLAS as ``libscipy_openblas64_``, which exports a
-setter and a getter for its thread count.  Every run sets one thread on entry
+setter and a getter for its thread count (the ``scipy_openblas`` prefix names
+that OpenBLAS build; the scipy package is not needed).  Every run sets one thread on entry
 and restores the previous count on exit, for two reasons: at d >= 100
 OpenBLAS gives different bits at different thread counts, which would make a
 run's result depend on the machine, and where a burst is costly the

@@ -17,6 +17,13 @@ draw is ``|z|^2 * df / u`` whatever the factor, so :func:`t_draws` returns it
 without a solve.  ``DF_CAP`` is the Gaussian limit: the optimiser never
 grows df past it, and at it the sampler draws no mixing variables and takes
 the plain Gaussian branch.
+
+The module needs numpy alone.  :meth:`TDistribution.mahalanobis` and
+:meth:`TDistribution.scale_inverse` solve with the Cholesky factor through
+:func:`solve_triangular`, numpy's general solve: numpy has no triangular
+one, and only the validation layer (Fisher blocks, moment identities)
+reaches these solves, not a run.  The log-density's normalising constant is
+summed as ``log1p`` terms, so it keeps its digits as df grows without bound.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # The Gaussian limit of the degrees of freedom.  Here the chi-squared mixing
 # factor sqrt(df / u) has a standard deviation of about 2e-5 around 1, far
@@ -33,6 +39,35 @@ from scipy.linalg import solve_triangular
 DF_CAP = float(2**30)
 
 _SYMMETRY_TOL = 1e-10
+
+# The half step lgamma(a + 1/2) - lgamma(a) - log(a) / 2 comes from
+# math.lgamma below this a, and above it from its asymptotic series, whose
+# first term left out, 31 / (18432 a^9), is below 1e-16 there.
+_HALF_STEP_SERIES_A = 30.0
+
+
+def solve_triangular(lower, b):
+    """Solve ``lower @ x = b`` for the lower triangular ``lower``.
+
+    numpy has no triangular solver, so this is its general LU solve.
+    """
+    return np.linalg.solve(lower, b)
+
+
+def _log_gamma_ratio(a, d):
+    """``lgamma(a + d/2) - lgamma(a) - (d/2) log(a)`` without cancellation.
+
+    Each whole step adds ``log1p((k + offset) / a)``, and an odd ``d`` adds
+    the half step; the sum tends to 0 as ``a`` grows.
+    """
+    offset = 0.5 * (d % 2)
+    terms = [math.log1p((k + offset) / a) for k in range(d // 2)]
+    if d % 2 and a < _HALF_STEP_SERIES_A:
+        terms.append(math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(a))
+    elif d % 2:
+        r = 1.0 / (a * a)
+        terms.append((-1 / 8 + r * (1 / 192 + r * (-1 / 640 + r * 17 / 14336))) / a)
+    return math.fsum(terms)
 
 
 def t_draws(factor, df, n, rng):
@@ -64,13 +99,13 @@ class TDistribution:
     scale : array_like, shape (d, d)
         Symmetric positive definite scale matrix.
     df : float
-        Degrees of freedom, must be positive.
+        Degrees of freedom, must be positive and finite.
 
     Raises
     ------
     ValueError
         If ``scale`` is not symmetric within tolerance, not positive
-        definite, or if ``df <= 0``.
+        definite, or if ``df`` is not positive and finite.
 
     Notes
     -----
@@ -91,8 +126,8 @@ class TDistribution:
             )
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(scale)):
             raise ValueError("mean and scale must be finite")
-        if not (df > 0):
-            raise ValueError(f"degrees of freedom must be positive, got {df}")
+        if not (0 < df < math.inf):
+            raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
         asym = float(np.max(np.abs(scale - scale.T)))
         if asym > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(scale)))):
             raise ValueError(
@@ -129,29 +164,29 @@ class TDistribution:
         """
         x = np.asarray(x, dtype=float)
         dev = np.atleast_2d(x) - self.mean
-        w = solve_triangular(self.chol, dev.T, lower=True)
+        w = solve_triangular(self.chol, dev.T)
         s = np.einsum("ij,ij->j", w, w)
         return float(s[0]) if x.ndim == 1 else s
 
     def log_density(self, x):
         """Log of the density at ``x``.
 
-        The normalising constant is evaluated in log space through
-        ``lgamma`` so it stays finite for any admissible ``df``.
+        The normalising constant is the Gaussian one plus
+        :func:`_log_gamma_ratio` at ``a = df / 2``, which keeps full
+        precision for any finite ``df`` and tends to 0 in the Gaussian limit.
         """
         s = self.mahalanobis(np.asarray(x, dtype=float))
         v, d = self.df, self.dim
         const = (
-            math.lgamma(0.5 * (v + d))
-            - math.lgamma(0.5 * v)
-            - 0.5 * d * math.log(v * math.pi)
+            _log_gamma_ratio(0.5 * v, d)
+            - 0.5 * d * math.log(2.0 * math.pi)
             - 0.5 * self._log_det_scale
         )
         return const - 0.5 * (d + v) * np.log1p(s / v)
 
     def scale_inverse(self):
         """Inverse of the scale matrix, solved through the Cholesky factor."""
-        inv_l = solve_triangular(self.chol, np.eye(self.dim), lower=True)
+        inv_l = solve_triangular(self.chol, np.eye(self.dim))
         return inv_l.T @ inv_l
 
     def moments(self):

@@ -1287,3 +1287,55 @@ def test_grid_outputs_do_not_depend_on_the_start_method(tmp_path):
     assert len(first) == 2 + 2 * 2 * 3 * 2  # results, summary and one trace per run
     for other in rest:
         assert other == first
+
+
+_NUMPY_ONLY = """
+import sys
+
+import numpy as np
+
+import tfwa
+from tfwa import harness, natgrad
+from tfwa.tdist import TDistribution
+
+out = sys.argv[1]
+assert harness.main([
+    "run", "--suite", "sphere", "rastrigin", "--dims", "2", "--algos", *harness.ALGORITHMS,
+    "--reps", "3", "--budget-mult", "200", "--seed", "0", "--workers", "2", "--out", out,
+]) == 0
+assert harness.main(["rank", "--inputs", out + "/results.csv"]) == 0
+for method in ("exact", "normal"):
+    harness.wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], method=method)
+
+rng = np.random.default_rng(0)
+dist = TDistribution([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]], 6.0)
+x = dist.sample(4, rng)
+dist.mahalanobis(x)
+dist.log_density(x)
+dist.scale_inverse()
+dist.moments()
+repr(dist)
+natgrad.fisher_closed_form(dist)
+natgrad.fisher_scale_block(dist)
+natgrad.fisher_monte_carlo(dist, 10_000, rng)
+natgrad.covariance_natural_gradient(dist, x[0])
+natgrad.moment_identity_residuals(dist, 1000, rng)
+
+leaked = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not leaked, leaked
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; pytest's own process has loaded
+    # scipy.stats, so the runtime is checked in a fresh interpreter
+    src = str(Path(tfwa.harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY, str(tmp_path / "grid")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -31,6 +32,12 @@ def test_zero_df_rejected():
 def test_negative_df_rejected():
     with pytest.raises(ValueError):
         TDistribution([0.0], [[1.0]], -3.0)
+
+
+@pytest.mark.parametrize("df", [math.inf, math.nan])
+def test_non_finite_df_rejected(df):
+    with pytest.raises(ValueError):
+        TDistribution([0.0], [[1.0]], df)
 
 
 def test_shape_mismatch_rejected():
@@ -79,6 +86,33 @@ def test_log_density_gaussian_limit_at_zero():
 def test_log_density_bivariate_df2_at_zero():
     dist = TDistribution([0.0, 0.0], np.eye(2), 2.0)
     assert math.isclose(dist.log_density([0.0, 0.0]), BIVARIATE_DF2_AT_ZERO, abs_tol=1e-12)
+
+
+# log-density at the mean under an identity scale, lgamma(a + d/2) - lgamma(a)
+# - (d/2) log(2 pi a) with a = df/2, frozen from mpmath at 800 digits: at
+# df = 1e300 both lgamma terms hold about 300 digits before the point
+LOG_DENSITY_DFS = (2.5, 5.0, 1e4, 1e8, DF_CAP, 1e15, 1e300)
+LOG_DENSITY_AT_MEAN = {
+    1: (-1.01663959346045, -0.9686195890547241, -0.9189635332046311, -0.9189385357046728,
+        -0.9189385334375034, -0.918938533204673, -0.9189385332046728),
+    2: (-1.8378770664093456, -1.8378770664093456, -1.8378770664093456, -1.8378770664093456,
+        -1.8378770664093456, -1.8378770664093456, -1.8378770664093456),
+    3: (-2.5180444232485826, -2.624175098670115, -2.7567406046136433, -2.7568155921140183,
+        -2.756815598915526, -2.7568155996140176, -2.756815599614018),
+    10: (-4.987227265205734, -6.521157625131689, -9.187385931780202, -9.189385132046734,
+         -9.189385313420276, -9.189385332046708, -9.189385332046728),
+    30: (-2.2305080245295756, -9.516084948778078, -27.54717626679116, -27.568153896140384,
+         -27.568155800562444, -27.56815599613997, -27.56815599614018),
+}
+
+
+@pytest.mark.parametrize("d", sorted(LOG_DENSITY_AT_MEAN))
+def test_log_density_constant_keeps_its_digits_as_df_grows(d):
+    # lgamma(a + d/2) and lgamma(a) both grow as a log a, so their plain
+    # difference loses the constant's digits long before df reaches 1e300
+    for df, expected in zip(LOG_DENSITY_DFS, LOG_DENSITY_AT_MEAN[d]):
+        got = TDistribution(np.zeros(d), np.eye(d), df).log_density(np.zeros(d))
+        assert math.isclose(got, expected, abs_tol=1e-12), (df, got, expected)
 
 
 def test_log_density_matches_external_univariate():
@@ -277,3 +311,27 @@ def test_sample_deterministic_for_any_seed(seed):
 def test_mahalanobis_non_negative(x, df):
     dist = TDistribution([0.0, 0.0], np.array([[2.0, 0.5], [0.5, 1.0]]), df)
     assert dist.mahalanobis(np.array(x)) >= 0.0
+
+
+@given(
+    hst.integers(min_value=1, max_value=12),
+    hst.floats(min_value=0.0, max_value=8.0),
+    hst.integers(min_value=0, max_value=2**32 - 1),
+    hst.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_numpy_solves_match_scipy_triangular_solve(d, log_spread, seed, batch):
+    # the Cholesky solves take numpy's general solve; scipy's triangular one
+    # is the oracle, within 64 kappa ulps at condition numbers up to 1e8
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    vals = 10.0 ** np.concatenate([[0.0, log_spread], rng.uniform(0.0, log_spread, d)])[:d]
+    kappa = vals.max() / vals.min()
+    tol = 64.0 * kappa * 2.0**-52
+    dist = TDistribution(rng.normal(size=d), (q * vals) @ q.T, 5.0)
+    x = dist.mean + rng.normal(size=(5, d) if batch else d) * np.sqrt(vals.max())
+    w = scipy.linalg.solve_triangular(dist.chol, np.atleast_2d(x - dist.mean).T, lower=True)
+    ref = np.einsum("ij,ij->j", w, w)
+    got = np.atleast_1d(dist.mahalanobis(x))
+    assert np.all(np.abs(got - ref) <= tol * ref)
+    assert np.max(np.abs(dist.scale_inverse() @ dist.scale - np.eye(d))) <= tol
