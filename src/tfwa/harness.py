@@ -9,10 +9,9 @@ seeded runs and writes four artifacts into the output directory:
 * ``config.json`` echoing the resolved configuration, which ``run --config``
   reads back to rerun the grid
 * ``traces/<problem>_d<dim>_<algo>_rep<rep>.jsonl`` with one record per
-  generation per firework: ``gen,fw,gap,df,scale,restart,best_gap``,
-  formatted from the run's float64 trace buffer and written a block of rows
-  at a time by :func:`_write_trace`, in the process that ran it, as soon as
-  its job's runs end
+  generation per firework, one key per :class:`~tfwa.swarm.TraceRecord`
+  field, written by the run's :meth:`~tfwa.swarm.Trace.write` in the process
+  that ran it, as soon as its job's runs end
 
 A job is one cell of the grid (one problem, dimension and algorithm) and
 its repetitions, run through one generation loop by the algorithm's cell
@@ -52,7 +51,6 @@ import numpy as np
 from .baselines import random_search_cell, uniform_fwa_cell
 from .benchfns import PROBLEM_NAMES, make_problem
 from .swarm import (
-    TRACE_WIDTH,
     SwarmConfig,
     _chunks,
     _require_int,
@@ -262,44 +260,6 @@ class ExperimentConfig:
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
 
-# A trace is formatted and written this many rows at a time, so writing one
-# holds a block's text and numbers, never the whole file's.
-TRACE_BLOCK_ROWS = 128
-
-# One trace row as json.dumps writes a TraceRecord: %.0f spells gen and fw,
-# which the buffer holds as whole floats, as ints do, and %r spells a float
-# as float.__repr__ does
-_TRACE_LINE = (
-    '{"gen": %.0f, "fw": %.0f, "gap": %r, "df": %r, "scale": %r, "restart": %s, "best_gap": %r}\n'
-)
-
-
-def _write_trace(fh, trace):
-    """Write ``trace``, a :class:`~tfwa.swarm.Trace`, to the text file ``fh``
-    as JSONL, ``TRACE_BLOCK_ROWS`` rows at a time.
-
-    Each line is byte for byte ``json.dumps`` of the record's fields in
-    :class:`~tfwa.swarm.TraceRecord` order, ``{"gen": ..., "fw": ...,
-    "gap": ..., "df": ..., "scale": ..., "restart": ..., "best_gap": ...}``,
-    plus ``"\\n"``: floats as ``float.__repr__`` gives them, ``NaN``,
-    ``Infinity`` and ``-Infinity`` for the non-finite ones, and
-    ``true``/``false`` for ``restart``.
-    """
-    rows, step = trace.rows, TRACE_BLOCK_ROWS * TRACE_WIDTH
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step].tolist()
-        # restart, a row's sixth number, as json.dumps spells a bool
-        block[5::TRACE_WIDTH] = ["true" if r else "false" for r in block[5::TRACE_WIDTH]]
-        text = (_TRACE_LINE * (len(block) // TRACE_WIDTH)) % tuple(block)
-        # every number follows ": ", and only a non-finite float's repr
-        # starts with a letter or "-i"
-        fh.write(
-            text.replace(": nan", ": NaN")
-            .replace(": inf", ": Infinity")
-            .replace(": -inf", ": -Infinity")
-        )
-
-
 def _run_cells(job):
     """Run one job, a contiguous chunk of one cell's repetitions; returns one
     ``(best_gap, evals, generations, restarts)`` per run.
@@ -308,8 +268,8 @@ def _run_cells(job):
     to ``out_dir/traces/`` here, in the process that ran it, as soon as the
     cell runner returns, so no trace crosses a worker pool and the grid's
     parent never holds one.  A run holds its trace as one float64 buffer, 56
-    bytes a row, and :func:`_write_trace` formats and writes it a block of
-    rows at a time, so no trace file's text is ever held whole.
+    bytes a row, and :meth:`~tfwa.swarm.Trace.write` formats and writes it a
+    block of rows at a time, so no trace file's text is ever held whole.
     """
     problem_args, algo, configs, out_dir = job
     problem = make_problem(*problem_args)
@@ -320,7 +280,7 @@ def _run_cells(job):
         for cfg, result in zip(configs, results):
             path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{cfg.seed - base_seed}.jsonl")
             with open(path, "w") as fh:
-                _write_trace(fh, result.trace)
+                result.trace.write(fh)
     return [
         (
             result.best_fitness - problem.f_star,

@@ -96,17 +96,39 @@ class TraceRecord:
     best_gap: float
 
 
-# The numbers a trace row stores, one per TraceRecord field and in its order.
-TRACE_WIDTH = len(fields(TraceRecord))
+# Every fact of a trace row's layout follows from TraceRecord's fields: a row
+# stores one float64 per field, in field order.  Each field type names the
+# cast that reads its float64 back and the spelling of its value in a JSONL
+# line as json.dumps writes it: %.0f spells a whole float as an int, %s the
+# "true" or "false" that the writer puts in place of a bool's 0 or 1, and %r
+# a float as float.__repr__ does.
+_TRACE_TYPES = {"int": (int, "%.0f"), "bool": (bool, "%s"), "float": (float, "%r")}
+_TRACE_FIELDS = fields(TraceRecord)
+TRACE_WIDTH = len(_TRACE_FIELDS)
+_RESTART = [f.name for f in _TRACE_FIELDS].index("restart")
+_CASTS = [_TRACE_TYPES[f.type][0] for f in _TRACE_FIELDS]
+_BOOL_COLUMNS = [i for i, f in enumerate(_TRACE_FIELDS) if f.type == "bool"]
+_TRACE_LINE = (
+    "{" + ", ".join(f'"{f.name}": {_TRACE_TYPES[f.type][1]}' for f in _TRACE_FIELDS) + "}\n"
+)
+
+# A trace is formatted and written this many rows at a time, so writing one
+# holds a block's text and numbers, never the whole file's.
+TRACE_BLOCK_ROWS = 128
+
+
+def _record(row):
+    """The :class:`TraceRecord` of ``row``, one trace row's float64s."""
+    return TraceRecord(*[cast(x) for cast, x in zip(_CASTS, row)])
 
 
 class Trace(Sequence):
     """A run's trace: a read-only sequence of :class:`TraceRecord` over one
     flat float64 buffer.
 
-    ``rows`` holds ``TRACE_WIDTH`` numbers per row, in field order, with
-    ``restart`` as 0 or 1, so a row takes 56 bytes; a record is built from
-    them each time one is read.  Every run's trace rows are exact in float64:
+    ``rows`` holds ``TRACE_WIDTH`` numbers per row, in field order, with a
+    bool as 0 or 1, so a row takes 56 bytes; a record is built from them
+    each time one is read.  Every run's trace rows are exact in float64:
     ``gen`` and ``fw`` are counts, and the others are floats.  Two traces are
     equal when their buffers are.
     """
@@ -134,11 +156,11 @@ class Trace(Sequence):
         if not -n <= index < n:
             raise IndexError("trace index out of range")
         start = (index % n) * TRACE_WIDTH
-        return _record(*self.rows[start : start + TRACE_WIDTH])
+        return _record(self.rows[start : start + TRACE_WIDTH])
 
     def __iter__(self):
         numbers = iter(self.rows)
-        return (_record(*row) for row in zip(*[numbers] * TRACE_WIDTH))
+        return (_record(row) for row in zip(*[numbers] * TRACE_WIDTH))
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -151,28 +173,43 @@ class Trace(Sequence):
     @property
     def restarts(self) -> int:
         """The number of rows that mark a restart."""
-        # restart is a row's sixth number; a view, so nothing is copied
-        return int(np.count_nonzero(np.frombuffer(self.rows)[5::TRACE_WIDTH]))
+        # a view of the restart column, so nothing is copied
+        return int(np.count_nonzero(np.frombuffer(self.rows)[_RESTART::TRACE_WIDTH]))
 
+    def write(self, fh):
+        """Write the trace to the text file ``fh`` as JSONL,
+        ``TRACE_BLOCK_ROWS`` rows at a time.
 
-def _record(gen, fw, gap, df, scale, restart, best_gap):
-    return TraceRecord(int(gen), int(fw), gap, df, scale, restart != 0.0, best_gap)
+        Each line is byte for byte ``json.dumps`` of a record's fields in
+        :class:`TraceRecord` order, ``{"gen": ..., "fw": ..., ...}``, plus
+        ``"\\n"``: floats as ``float.__repr__`` gives them, ``NaN``,
+        ``Infinity`` and ``-Infinity`` for the non-finite ones, and
+        ``true``/``false`` for a bool.
+        """
+        rows, step = self.rows, TRACE_BLOCK_ROWS * TRACE_WIDTH
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step].tolist()
+            for col in _BOOL_COLUMNS:
+                block[col::TRACE_WIDTH] = ["true" if r else "false" for r in block[col::TRACE_WIDTH]]
+            text = (_TRACE_LINE * (len(block) // TRACE_WIDTH)) % tuple(block)
+            # every number follows ": ", and only a non-finite float's repr
+            # starts with a letter or "-i"
+            fh.write(
+                text.replace(": nan", ": NaN")
+                .replace(": inf", ": Infinity")
+                .replace(": -inf", ": -Infinity")
+            )
 
 
 @dataclass
 class RunResult:
-    """A run's outcome.  ``trace`` is a :class:`Trace`; a list of
-    :class:`TraceRecord` given in its place is packed into one."""
+    """A run's outcome.  ``trace`` is a :class:`Trace`."""
 
     best_position: np.ndarray
     best_fitness: float
     evals_used: int
     generations: int
     trace: Trace = field(default_factory=Trace)
-
-    def __post_init__(self):
-        if not isinstance(self.trace, Trace):
-            self.trace = Trace.of(self.trace)
 
     @property
     def restarts(self) -> int:
@@ -189,6 +226,8 @@ def resolve_run_shape(problem, config: SwarmConfig):
     _require_int("n_fireworks", n)
     if n < 1:
         raise ValueError(f"need at least one firework, got {n}")
+    if not isinstance(config.df_factors, (list, tuple)):
+        raise ValueError(f"df_factors must be a list, got {config.df_factors!r}")
     if len(config.df_factors) != n:
         raise ValueError(
             f"df_factors must provide one factor per firework "

@@ -9,7 +9,7 @@ import pytest
 from algorithms import run_of
 from tfwa.baselines import BLOCK_COORDS, random_search_run, uniform_fwa_run, uniform_sparks
 from tfwa.benchfns import make_problem
-from tfwa.swarm import RunResult, SwarmConfig, TraceRecord, resolve_run_shape
+from tfwa.swarm import RunResult, SwarmConfig, Trace, TraceRecord, resolve_run_shape
 from tfwa.tdist import DF_CAP
 
 
@@ -176,7 +176,7 @@ def _random_search_per_generation(problem, config):
                 best_gap=best_f - problem.f_star,
             )
         )
-    return RunResult(best_x, best_f, evals, g, trace)
+    return RunResult(best_x, best_f, evals, g, Trace.of(trace))
 
 
 class _HalfNanSphere:

@@ -32,7 +32,6 @@ from tfwa.harness import (
     ExperimentConfig,
     _run_cells,
     _summarise,
-    _write_trace,
     load_experiment,
     main,
     run_experiment,
@@ -250,9 +249,9 @@ def test_one_cell_grid_is_identical_at_any_worker_count(tmp_path):
 
 
 def _jsonl(trace):
-    """The text :func:`_write_trace` writes for ``trace``."""
+    """The text :meth:`Trace.write` writes for ``trace``."""
     fh = io.StringIO()
-    _write_trace(fh, trace)
+    trace.write(fh)
     return fh.getvalue()
 
 
@@ -297,7 +296,7 @@ _TRACE_RECORDS = hst.lists(
 )
 _LONG_TRACE = [
     TraceRecord(g // 2, g % 2, 0.1 * g, 5.0, 1e16 / (g + 1), g % 7 == 0, 1.0 / (g + 1))
-    for g in range(2 * tfwa.harness.TRACE_BLOCK_ROWS + 3)
+    for g in range(2 * tfwa.swarm.TRACE_BLOCK_ROWS + 3)
 ]
 
 
@@ -309,9 +308,9 @@ def _record_bits(rec):
 @settings(max_examples=300, deadline=None)
 @given(
     records=_TRACE_RECORDS,
-    block_rows=hst.sampled_from([1, 2, 3, tfwa.harness.TRACE_BLOCK_ROWS]),
+    block_rows=hst.sampled_from([1, 2, 3, tfwa.swarm.TRACE_BLOCK_ROWS]),
 )
-@example(records=_LONG_TRACE, block_rows=tfwa.harness.TRACE_BLOCK_ROWS)
+@example(records=_LONG_TRACE, block_rows=tfwa.swarm.TRACE_BLOCK_ROWS)
 def test_trace_jsonl_matches_json_dumps(records, block_rows):
     # whatever the block size, and across block ends, the text is json.dumps
     # of each record, line by line
@@ -330,7 +329,7 @@ def test_trace_jsonl_matches_json_dumps(records, block_rows):
         + "\n"
         for rec in records
     )
-    with mock.patch.object(tfwa.harness, "TRACE_BLOCK_ROWS", block_rows):
+    with mock.patch.object(tfwa.swarm, "TRACE_BLOCK_ROWS", block_rows):
         assert _jsonl(Trace.of(records)) == expected
 
 
@@ -338,9 +337,9 @@ def test_trace_jsonl_matches_json_dumps(records, block_rows):
 @given(records=_TRACE_RECORDS)
 @example(records=_LONG_TRACE)
 def test_trace_reads_back_its_records(records):
-    # a RunResult given a list packs it into a Trace, whose rows come back as
-    # the same records bit for bit, by iteration, index and slice
-    result = RunResult(np.zeros(2), 0.0, 0, 0, records)
+    # a Trace of the records gives them back bit for bit, by iteration,
+    # index and slice
+    result = RunResult(np.zeros(2), 0.0, 0, 0, Trace.of(records))
     trace = result.trace
     assert isinstance(trace, Trace)
     assert len(trace) == len(records)
@@ -948,6 +947,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         ({"swarm": {"eps": True}}, [], "eps must be a real number"),
         ({"swarm": {"df_init": "5"}}, [], "df_init must be a real number"),
         ({"swarm": {"df_factors": [1.05, "10"]}}, [], "df_factors must be a real number"),
+        ({"swarm": {"df_factors": 5}}, [], "df_factors must be a list"),
         ({}, ["--seed", "-5"], "base_seed must be non-negative"),
         ({"out_dir": 5}, [], "out_dir must be a string"),
         ({"suite": "sphere"}, [], "suite must be a list"),
@@ -959,6 +959,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         "eps",
         "df_init",
         "df_factors",
+        "df_factors_not_list",
         "negative_seed",
         "out_dir",
         "suite",

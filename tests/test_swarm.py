@@ -35,6 +35,7 @@ def test_resolve_defaults_dim3():
     [
         SwarmConfig(n_fireworks=0, df_factors=()),
         SwarmConfig(n_fireworks=2, df_factors=(1.05,)),
+        SwarmConfig(df_factors=5),
         SwarmConfig(df_factors=(1.0, 10.0)),
         SwarmConfig(df_factors=(float("nan"), 10.0)),
         SwarmConfig(df_init=1.5),
@@ -46,6 +47,7 @@ def test_resolve_defaults_dim3():
     ids=[
         "no-fireworks",
         "factor-arity",
+        "factors-not-list",
         "factor-too-small",
         "df-factor-nan",
         "df-low",

@@ -434,11 +434,10 @@ def test_grid_workers_share_the_cores(monkeypatch):
 _D100_SCRIPT = """
 import sys
 from tfwa.benchfns import make_problem
-from tfwa.harness import _write_trace
 from tfwa.swarm import SwarmConfig, run
 
 result = run(make_problem("rastrigin", 100, seed=0), SwarmConfig(seed=0, budget=12_002))
-_write_trace(sys.stdout, result.trace)
+result.trace.write(sys.stdout)
 sys.stdout.write(repr(result.best_fitness) + " " + result.best_position.tobytes().hex() + "\\n")
 """
 

@@ -20,7 +20,7 @@ from tfwa.baselines import uniform_fwa_run
 from tfwa.benchfns import PROBLEM_NAMES, make_problem
 from tfwa.explosion import FireworkState, derive_params, explode
 from tfwa.harness import _run_cells
-from tfwa.swarm import RunResult, SwarmConfig, TraceRecord
+from tfwa.swarm import RunResult, SwarmConfig, Trace, TraceRecord
 
 DIM, LAM = 100, 500
 BATCH_BYTES = LAM * DIM * 8
@@ -95,7 +95,7 @@ def _trace_write_peak(tmp_path, monkeypatch, rows):
         TraceRecord(g // 2, g % 2, 1.0 / (g + 1), 5.0, 100.0 / (g + 3), g % 9 == 0, 1.0 / (g + 2))
         for g in range(rows)
     ]
-    result = RunResult(np.zeros(2), 0.0, 0, 0, trace)
+    result = RunResult(np.zeros(2), 0.0, 0, 0, Trace.of(trace))
     monkeypatch.setattr(tfwa.harness, "random_search_cell", lambda problem, configs: [result])
     (tmp_path / "traces").mkdir(exist_ok=True)
     job = (("sphere", 2, 0), "random-search", [SwarmConfig()], str(tmp_path))
