@@ -47,9 +47,10 @@ AMPLITUDE_INIT = 0.5
 AMPLITUDE_GROWTH = 1.2
 AMPLITUDE_DECAY = 0.9
 
-# Random search draws and evaluates whole generations at a time, at most this
-# many coordinates per block and at least one generation.
-BLOCK_COORDS = 2**16
+# Random search draws and evaluates whole generations at a time, and a uniform
+# burst whole fireworks, at most this many coordinates per block and at least
+# one generation or firework; a block's evaluation temporaries stay at 256 kB.
+BLOCK_COORDS = 2**15
 
 
 @dataclass
@@ -96,11 +97,12 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
 def uniform_fwa_cell(problem, configs) -> list:
     """One :func:`uniform_fwa_run` result per config, from one generation loop.
 
-    The configs may differ only in their seeds.  A burst samples all its
-    fireworks' sparks into one block and evaluates them in one call; each
-    firework still draws from its own generator, and the objective
-    evaluates each point on its own, so every result equals the run's on
-    its own bit for bit.
+    The configs may differ only in their seeds.  A burst samples its
+    fireworks' sparks in groups of at most ``BLOCK_COORDS`` coordinates, and
+    at least one firework, and evaluates each group in one call, so a cell
+    holds one group's sparks, however many runs it has; each firework still
+    draws from its own generator, and the objective evaluates each point on
+    its own, so every result equals the run's on its own bit for bit.
     """
     _, lam, budget = _cell_shape(problem, configs)
     box = float(problem.ub - problem.lb)
@@ -108,7 +110,10 @@ def uniform_fwa_cell(problem, configs) -> list:
     def new(_, rng):
         return _fresh_firework(_UniformFirework, problem, rng, scale=AMPLITUDE_INIT * box)
 
-    def burst(fws):
+    group = max(1, BLOCK_COORDS // (lam * problem.dim))
+
+    # one call per group, so a group's sparks are freed before the next is drawn
+    def best_sparks(fws):
         sparks = uniform_sparks(
             np.array([fw.mean for fw in fws]),
             [fw.scale for fw in fws],
@@ -120,7 +125,11 @@ def uniform_fwa_cell(problem, configs) -> list:
         fits = _evaluate_all(problem, sparks.reshape(-1, problem.dim)).reshape(len(fws), lam)
         picks = fits.argmin(axis=1)
         rows = np.arange(len(fws))
-        outcomes = list(zip(sparks[rows, picks], fits[rows, picks].tolist()))
+        return zip(sparks[rows, picks], fits[rows, picks].tolist())
+
+    def burst(fws):
+        starts = range(0, len(fws), group)
+        outcomes = [o for start in starts for o in best_sparks(fws[start : start + group])]
         for fw, (x, gen_best) in zip(fws, outcomes):
             fw.gen_improvement = fw.last_gen_best - gen_best
             # The firework only ever moves to an improving spark, so its

@@ -36,7 +36,9 @@ class DegenerateStateError(RuntimeError):
     cannot be factorised.  Callers restart the firework.  When the failure
     happens after the sparks were already evaluated, the evaluated positions
     and fitnesses ride along, sorted best first as :func:`explode` returns
-    them, so the caller can keep its bookkeeping exact.
+    them, so the caller can keep its bookkeeping exact.  A swarm cell keeps
+    a new error with only the best spark and its fitness, since this one's
+    traceback pins :func:`explode`'s frame and its spark-sized arrays.
     """
 
     def __init__(self, message, sparks=None, fitnesses=None):

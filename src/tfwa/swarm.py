@@ -355,12 +355,17 @@ def run_cell(problem, configs) -> list:
     config = configs[0]
     params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
 
+    # An outcome owns only what the driver reads: a view of the best spark
+    # would keep the whole (lam, d) spark array alive, and a raised error's
+    # traceback would keep explode's frame and its spark-sized locals
     def attempt(fw):
         try:
             xs, fits = explode(fw, params, problem, fw.rng)
         except DegenerateStateError as exc:
-            return exc
-        return xs[0], fits[0]
+            if exc.fitnesses is None:
+                return DegenerateStateError(str(exc))
+            return DegenerateStateError(str(exc), exc.sparks[:1].copy(), exc.fitnesses[:1].copy())
+        return xs[0].copy(), fits[0]
 
     return _drive(
         problem,
@@ -485,12 +490,14 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     own generator.  So one seed starts every algorithm's fireworks at the
     same means.  Every generation explodes the runs' fireworks with
     ``burst(fws)``, which takes a list of fireworks, from any runs, and
-    returns one outcome per firework in order: the generation's best spark
-    and its fitness, or the :class:`DegenerateStateError` the explosion
-    raised; an error that carries the evaluated sparks, best first, costs
-    the run ``lam`` evaluations and offers it the first spark.  A burst
-    updates each firework in place and draws only from that firework's own
-    generator.  A firework whose explosion failed is
+    returns one outcome per firework in order: the generation's best spark,
+    as its own array, and its fitness, or a :class:`DegenerateStateError`
+    for a failed explosion; an error that carries evaluated sparks costs the
+    run ``lam`` evaluations and offers it only the best spark and its
+    fitness.  So no outcome keeps a generation's spark array alive into the
+    next generation, and a cell's memory does not grow with its runs.  A
+    burst updates each firework in place and draws only from that
+    firework's own generator.  A firework whose explosion failed is
     replaced by ``fresh(fw)`` (a new firework, one evaluation); after a
     complete generation the loser-out tournament replaces its losers the
     same way.

@@ -202,9 +202,10 @@ class _HalfNanSphere:
     "dim, budget",
     [
         (3, 1_007),  # not a multiple of the 30-point batch
-        (2, 20_000),  # one block of 1000 generations
-        (10, 20_050),  # 200 generations in blocks of 65, 65, 65 and 5
-        (40, 9_000),  # 22 generations in blocks of 4
+        (2, 16_000),  # one block of 800 generations
+        (2, 20_000),  # 1000 generations in blocks of 819 and 181
+        (10, 20_050),  # 200 generations in six blocks of 32 and one of 8
+        (40, 9_000),  # 22 generations in 11 blocks of 2
         (200, 5_000),  # a generation above BLOCK_COORDS: one per block
     ],
 )
