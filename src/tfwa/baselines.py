@@ -8,18 +8,18 @@
   block loop, recorded through the swarm's run record.
 
 Each has a cell entry point (``uniform_fwa_cell``, ``random_search_cell``)
-that takes a problem and the configs of a grid cell's repetitions, which
-may differ only in their seeds, and returns one result per config, equal to
-the run's on its own.  The swarm's driver (``tfwa.swarm._drive``) seeds,
-starts and pins BLAS for the firework cells, so ``uniform_fwa_cell``
-supplies only how to start, restart and explode a uniform firework, and one
-seed starts it at the t fireworks' means; random search keeps its own loop
-and BLAS pin, but keeps its best-so-far point, trace rows and result in the
-driver's run record (``tfwa.swarm._Run``), so a trace row means the same
-for every algorithm.  Every runner needs only ``lb``, ``ub``, ``dim`` and
-``evaluate`` from the objective, and uses ``evaluate_batch`` when it has
-one.  The Gaussian limit needs no code here: it is the swarm run with
-``df_init`` at ``DF_CAP``, a row of the harness's algorithm table.
+that takes a problem, a config and the seeds of a grid cell's repetitions,
+and returns one result per seed, equal to the run's on its own.  The swarm's
+driver (``tfwa.swarm._drive``) seeds, starts and pins BLAS for the firework
+cells, so ``uniform_fwa_cell`` supplies only how to start, restart and
+explode a uniform firework, and one seed starts it at the t fireworks'
+means; random search keeps its own loop and BLAS pin, but keeps its
+best-so-far point, trace rows and result in the driver's run record
+(``tfwa.swarm._Run``), so a trace row means the same for every
+algorithm.  Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate``
+from the objective, and uses ``evaluate_batch`` when it has one.  The
+Gaussian limit needs no code here: it is the swarm run with ``df_init`` at
+``DF_CAP``, a row of the harness's algorithm table.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .explosion import _evaluate_all
 from .swarm import (
     RunResult,
     SwarmConfig,
-    _cell_shape,
     _drive,
     _fresh_firework,
     _Run,
@@ -81,7 +80,7 @@ def uniform_sparks(means, amplitudes, lam, lb, ub, rngs):
     return np.minimum(np.maximum(means[:, None, :] + span, lb), ub)
 
 
-def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
+def uniform_fwa_run(problem, config: SwarmConfig, seed=0, budget=None) -> RunResult:
     """Uniform-explosion fireworks with dynamic amplitude and loser-out restarts.
 
     Each generation a firework samples ``lam`` sparks in its hypercube and
@@ -91,20 +90,20 @@ def uniform_fwa_run(problem, config: SwarmConfig) -> RunResult:
     the swarm run's, and so are the per-firework generators: one seed starts
     the uniform fireworks at the t fireworks' means.
     """
-    return uniform_fwa_cell(problem, [config])[0]
+    return uniform_fwa_cell(problem, config, [seed], budget)[0]
 
 
-def uniform_fwa_cell(problem, configs) -> list:
-    """One :func:`uniform_fwa_run` result per config, from one generation loop.
+def uniform_fwa_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
+    """One :func:`uniform_fwa_run` result per seed, from one generation loop.
 
-    The configs may differ only in their seeds.  A burst samples its
-    fireworks' sparks in groups of at most ``BLOCK_COORDS`` coordinates, and
-    at least one firework, and evaluates each group in one call, so a cell
-    holds one group's sparks, however many runs it has; each firework still
-    draws from its own generator, and the objective evaluates each point on
-    its own, so every result equals the run's on its own bit for bit.
+    A burst samples its fireworks' sparks in groups of at most
+    ``BLOCK_COORDS`` coordinates, and at least one firework, and evaluates
+    each group in one call, so a cell holds one group's sparks, however many
+    runs it has; each firework still draws from its own generator, and the
+    objective evaluates each point on its own, so every result equals the
+    run's on its own bit for bit.
     """
-    _, lam, budget = _cell_shape(problem, configs)
+    _, lam, budget = resolve_run_shape(problem, config, budget)
     box = float(problem.ub - problem.lb)
 
     def new(_, rng):
@@ -143,12 +142,19 @@ def uniform_fwa_cell(problem, configs) -> list:
         return outcomes
 
     return _drive(
-        problem, configs, lam, budget, new=new, fresh=lambda fw: new(None, fw.rng), burst=burst
+        problem,
+        config,
+        seeds,
+        lam,
+        budget,
+        new=new,
+        fresh=lambda fw: new(None, fw.rng),
+        burst=burst,
     )
 
 
 @blas.run_settings()
-def random_search_run(problem, config: SwarmConfig) -> RunResult:
+def random_search_run(problem, config: SwarmConfig, seed=0, budget=None) -> RunResult:
     """Uniform random search over the full box, one batch per generation.
 
     It spends no evaluation on starting points and has no tournament, so it
@@ -160,8 +166,8 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
     and an objective evaluates each point on its own, so the result equals
     drawing and evaluating one generation per call.
     """
-    rng = np.random.default_rng(config.seed)
-    n, lam, budget = resolve_run_shape(problem, config)
+    rng = np.random.default_rng(seed)
+    n, lam, budget = resolve_run_shape(problem, config, budget)
     batch = n * lam
     d = problem.dim
     box = float(problem.ub - problem.lb)
@@ -183,13 +189,11 @@ def random_search_run(problem, config: SwarmConfig) -> RunResult:
     return run.result()
 
 
-def random_search_cell(problem, configs) -> list:
-    """One :func:`random_search_run` result per config.
+def random_search_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
+    """One :func:`random_search_run` result per seed.
 
-    The configs may differ only in their seeds.  Each run keeps its own
-    block loop and run record, one run after another: its block sampling
-    already spreads the per-call cost over many generations, so the
-    driver's shared generation loop would save nothing.
+    Each run keeps its own block loop and run record, one run after
+    another: its block sampling already spreads the per-call cost over many
+    generations, so the driver's shared generation loop would save nothing.
     """
-    _cell_shape(problem, configs)
-    return [random_search_run(problem, c) for c in configs]
+    return [random_search_run(problem, config, seed, budget) for seed in seeds]

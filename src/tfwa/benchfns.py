@@ -206,8 +206,9 @@ def make_problem(
         )
     if dim < 2:
         raise ValueError(f"benchmark problems require dim >= 2, got {dim}")
-    if not lb < ub:
-        raise ValueError(f"invalid bounds [{lb}, {ub}]")
+    # a box of infinite width would overflow numpy's uniform draws
+    if not (lb < ub and math.isfinite(float(ub) - float(lb))):
+        raise ValueError(f"invalid bounds [{lb}, {ub}]: need lb < ub and a finite ub - lb")
     rng = np.random.default_rng([seed, dim, zlib.crc32(name.encode())])
     if shifted:
         quarter = (ub - lb) / 4.0

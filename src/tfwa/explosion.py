@@ -208,8 +208,9 @@ def repair_bounds(x, lb, ub, rng):
     In-bounds coordinates are untouched.  Works elementwise on vectors or
     (n, d) batches.
     """
-    if not lb < ub:
-        raise ValueError(f"invalid bounds [{lb}, {ub}]")
+    # a box of infinite width would overflow numpy's uniform draws
+    if not (lb < ub and math.isfinite(float(ub) - float(lb))):
+        raise ValueError(f"invalid bounds [{lb}, {ub}]: need lb < ub and a finite ub - lb")
     out = np.array(x, dtype=float)
     bad = (out < lb) | (out > ub)
     n_bad = int(bad.sum())

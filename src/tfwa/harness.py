@@ -13,18 +13,18 @@ seeded runs and writes four artifacts into the output directory:
   field, written by the run's :meth:`~tfwa.swarm.Trace.write` in the process
   that ran it, as soon as its job's runs end
 
-A job is one cell of the grid (one problem, dimension and algorithm) and
-its repetitions, run through one generation loop by the algorithm's cell
-runner.  ``--workers N`` runs the grid on N processes, the calling one among
-them: it starts a pool of N - 1 workers (none when N is 1), and the calling
-process makes every claim, taking the next job in grid order under one lock
-until none is left: its own between its runs, and each pool worker's as that
-worker's previous job ends.  When there are fewer cells than workers, each
-cell is split into ``ceil(workers / cells)`` contiguous chunks of
-repetitions, so that no worker sits idle; the rows are reassembled in grid
-order.  Only each run's four numbers come back from a job, so the calling
-process holds rows, not traces, and writes the three grid files once every
-job has ended.
+A job is one cell of the grid (one problem, dimension and algorithm): one
+swarm config, one budget and the seeds of its repetitions, run through one
+generation loop by the algorithm's cell runner.  ``--workers N`` runs the
+grid on N processes, the calling one among them: it starts a pool of N - 1
+workers (none when N is 1), and the calling process makes every claim,
+taking the next job in grid order under one lock until none is left: its own
+between its runs, and each pool worker's as that worker's previous job ends.
+When there are fewer cells than workers, each cell's seeds are split into
+``ceil(workers / cells)`` contiguous chunks, so that no worker sits idle;
+the rows are reassembled in grid order.  Only each run's four numbers come
+back from a job, so the calling process holds rows, not traces, and writes
+the three grid files once every job has ended.
 
 ``compare`` and ``rank`` read results files as one sample per algorithm per
 file: ``compare`` applies the rank-sum test per function to exactly two
@@ -61,11 +61,12 @@ from .swarm import (
 from .tdist import DF_CAP
 
 # The algorithm table: name -> (name of its cell runner in this module, the
-# swarm fields it sets).  A cell runner takes a problem and a list of configs
-# and returns one result per config; ``_run_cells`` sets the fields on every
-# config and looks the runner up at call time, so a rebinding of the module
-# attribute (a profiling wrapper, say) sees every run.  The Gaussian limit is
-# tfwa started at the df cap, where df stays.
+# swarm fields it sets).  A cell runner takes a problem, a config, a list of
+# seeds and a budget and returns one result per seed; ``_run_cells`` sets the
+# fields on the config and looks the runner up at call time, so a test that
+# rebinds the module attribute (``monkeypatch.setattr(tfwa.harness,
+# "random_search_cell", ...)``) substitutes it in every job.  The Gaussian
+# limit is tfwa started at the df cap, where df stays.
 _RUNNERS = {
     "tfwa": ("run_cell", {}),
     "gaussian-limit": ("run_cell", {"df_init": DF_CAP}),
@@ -271,14 +272,14 @@ def _run_cells(job):
     bytes a row, and :meth:`~tfwa.swarm.Trace.write` formats and writes it a
     block of rows at a time, so no trace file's text is ever held whole.
     """
-    problem_args, algo, configs, out_dir = job
+    problem_args, algo, swarm, budget, seeds, out_dir = job
     problem = make_problem(*problem_args)
     runner, overrides = _RUNNERS[algo]
-    results = globals()[runner](problem, [replace(c, **overrides) for c in configs])
+    results = globals()[runner](problem, replace(swarm, **overrides), seeds, budget)
     if out_dir is not None:
         name, dim, base_seed = problem_args
-        for cfg, result in zip(configs, results):
-            path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{cfg.seed - base_seed}.jsonl")
+        for seed, result in zip(seeds, results):
+            path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{seed - base_seed}.jsonl")
             with open(path, "w") as fh:
                 result.trace.write(fh)
     return [
@@ -327,24 +328,12 @@ def validate_experiment(config: ExperimentConfig):
         _require_int(name, getattr(config, name))
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be at least 1")
-    # run_experiment sets both per run, so any other value would do nothing
-    if config.swarm.seed != 0:
-        raise ValueError("swarm.seed must be 0: each run's seed is base_seed + rep")
-    if config.swarm.budget is not None:
-        raise ValueError("swarm.budget must be null: each run's budget is budget_multiplier * dim")
     # the run shape depends on the dimension alone
     for dim in config.dims:
         try:
-            resolve_run_shape(SimpleNamespace(dim=dim), _run_config(config, dim, 0))
+            resolve_run_shape(SimpleNamespace(dim=dim), config.swarm, config.budget_multiplier * dim)
         except ValueError as exc:
             raise ValueError(f"at dim {dim}: {exc}") from None
-
-
-def _run_config(config: ExperimentConfig, dim, rep) -> SwarmConfig:
-    """The swarm config of repetition ``rep`` at dimension ``dim``."""
-    return replace(
-        config.swarm, seed=config.base_seed + rep, budget=config.budget_multiplier * dim
-    )
 
 
 def run_experiment(config: ExperimentConfig):
@@ -390,11 +379,14 @@ def run_experiment(config: ExperimentConfig):
     # a job is one cell, or a chunk of one when there are fewer cells than
     # workers, so that no worker sits idle
     parts = 1 if len(cells) >= config.workers else -(-config.workers // len(cells))
+    seeds = [config.base_seed + rep for rep in range(config.reps)]
     jobs = []
     for name, dim, algo in cells:
-        configs = [_run_config(config, dim, rep) for rep in range(config.reps)]
-        for chunk in _chunks(configs, parts):
-            jobs.append(((name, dim, config.base_seed), algo, chunk, config.out_dir))
+        budget = config.budget_multiplier * dim
+        for chunk in _chunks(seeds, parts):
+            jobs.append(
+                ((name, dim, config.base_seed), algo, config.swarm, budget, chunk, config.out_dir)
+            )
 
     # this process runs jobs beside processes - 1 pool workers, and they all
     # share the cores, so a run explodes its fireworks on threads only where
@@ -451,15 +443,15 @@ def run_experiment(config: ExperimentConfig):
             outcomes[index] = future.result()
 
     rows = []
-    for index, ((name, dim, _), algo, configs, _) in enumerate(jobs):
-        for cfg, (best_gap, evals, generations, restarts) in zip(configs, outcomes[index]):
+    for index, ((name, dim, _), algo, _, _, chunk, _) in enumerate(jobs):
+        for seed, (best_gap, evals, generations, restarts) in zip(chunk, outcomes[index]):
             rows.append(
                 {
                     "problem": name,
                     "dim": dim,
                     "algo": algo,
-                    "rep": cfg.seed - config.base_seed,
-                    "seed": cfg.seed,
+                    "rep": seed - config.base_seed,
+                    "seed": seed,
                     "best_gap": best_gap,
                     "evals": evals,
                     "generations": generations,

@@ -15,11 +15,11 @@ sampling quickly while another keeps heavy tails for longer.
 
 Each firework draws from its own generator, which the driver spawns from
 the run's seed, so its explosions do not depend on one another.  The driver
-therefore takes the repetitions of one grid cell through one generation loop
-(:func:`run_cell`), each run keeping its own budget, tournament and trace,
-and once a burst proves costly a generation's fireworks explode in chunks on
-a thread pool, with the same results as exploding them in turn and one run
-at a time.
+therefore takes the repetitions of one grid cell, one config and a seed per
+run, through one generation loop (:func:`run_cell`), each run keeping its own
+budget, tournament and trace, and once a burst proves costly a generation's
+fireworks explode in chunks on a thread pool, with the same results as
+exploding them in turn and one run at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from array import array
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -56,23 +56,21 @@ THREAD_MIN_BURST_S = 1e-3
 
 @dataclass
 class SwarmConfig:
-    """Run configuration.
+    """An algorithm setting; a run's seed and budget are arguments of the
+    runners, not fields.
 
-    ``sparks_per_firework`` and ``budget`` default to ``10 * dim /
-    n_fireworks`` and ``10000 * dim`` when left as ``None``.  ``df_factors``
-    must provide one growth factor per firework.  ``eps`` is the minimum
-    fitness decrease that counts as progress for the tournament.
-    ``df_init`` lies in ``[2, DF_CAP]``; at ``DF_CAP``, the Gaussian limit,
-    the degrees of freedom stay frozen.
+    ``sparks_per_firework`` defaults to ``10 * dim / n_fireworks`` when left
+    as ``None``.  ``df_factors`` must provide one growth factor per firework.
+    ``eps`` is the minimum fitness decrease that counts as progress for the
+    tournament.  ``df_init`` lies in ``[2, DF_CAP]``; at ``DF_CAP``, the
+    Gaussian limit, the degrees of freedom stay frozen.
     """
 
     n_fireworks: int = 2
     df_factors: tuple = (1.05, 10.0)
     df_init: float = 5.0
     sparks_per_firework: int | None = None
-    budget: int | None = None
     eps: float = 1e-6
-    seed: int = 0
     literal_psigma: bool = False
 
 
@@ -216,11 +214,11 @@ class RunResult:
         return self.trace.restarts
 
 
-def resolve_run_shape(problem, config: SwarmConfig):
+def resolve_run_shape(problem, config: SwarmConfig, budget=None):
     """Return the concrete (n_fireworks, sparks_per_firework, budget) triple.
 
-    Applies the dimension-dependent defaults and validates the
-    configuration against the problem.
+    Applies the dimension-dependent defaults, ``budget`` ``10000 * dim``
+    when ``None``, and validates the configuration against the problem.
     """
     n = config.n_fireworks
     _require_int("n_fireworks", n)
@@ -249,7 +247,8 @@ def resolve_run_shape(problem, config: SwarmConfig):
     lam = config.sparks_per_firework
     if lam is None:
         lam = max(2, round(10 * problem.dim / n))
-    budget = config.budget if config.budget is not None else 10000 * problem.dim
+    if budget is None:
+        budget = 10000 * problem.dim
     _require_int("sparks_per_firework", lam)
     _require_int("budget", budget)
     if lam < 2:
@@ -342,17 +341,16 @@ def restart_firework(fw: FireworkState, problem, config: SwarmConfig, rng):
     return _fresh_t_firework(problem, config, fw.df_factor, rng)
 
 
-def run_cell(problem, configs) -> list:
-    """One :func:`run` result per config in ``configs``, from one generation loop.
+def run_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
+    """One :func:`run` result per seed in ``seeds``, from one generation loop.
 
-    The configs may differ only in their seeds.  :func:`_drive` starts firework
-    ``i`` of each run as :func:`_fresh_t_firework` with growth factor
-    ``df_factors[i]``, explodes the runs' fireworks side by side and restarts
-    them through :func:`restart_firework`; each result equals ``run(problem,
-    config)`` bit for bit.
+    :func:`_drive` starts firework ``i`` of each run as
+    :func:`_fresh_t_firework` with growth factor ``df_factors[i]``, explodes
+    the runs' fireworks side by side and restarts them through
+    :func:`restart_firework`; each result equals ``run(problem, config, seed,
+    budget)`` bit for bit.
     """
-    _, lam, budget = _cell_shape(problem, configs)
-    config = configs[0]
+    _, lam, budget = resolve_run_shape(problem, config, budget)
     params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
 
     # An outcome owns only what the driver reads: a view of the best spark
@@ -369,7 +367,8 @@ def run_cell(problem, configs) -> list:
 
     return _drive(
         problem,
-        configs,
+        config,
+        seeds,
         lam,
         budget,
         new=lambda i, rng: _fresh_t_firework(problem, config, config.df_factors[i], rng),
@@ -378,25 +377,14 @@ def run_cell(problem, configs) -> list:
     )
 
 
-def run(problem, config: SwarmConfig) -> RunResult:
-    """Full optimisation run on ``problem`` under ``config``.
+def run(problem, config: SwarmConfig, seed=0, budget=None) -> RunResult:
+    """Full optimisation run on ``problem`` under ``config``, of ``budget``
+    evaluations (``10000 * dim`` when ``None``).
 
-    Deterministic given ``config.seed``.  Budget accounting, restarts and
-    the trace follow :func:`_drive`.
+    Deterministic given ``seed``.  Budget accounting, restarts and the trace
+    follow :func:`_drive`.
     """
-    return run_cell(problem, [config])[0]
-
-
-def _cell_shape(problem, configs):
-    """The run shape (:func:`resolve_run_shape`) of a cell's configs, which
-    may differ only in their seeds."""
-    if not configs:
-        raise ValueError("a cell needs at least one config")
-    first = configs[0]
-    shape = resolve_run_shape(problem, first)
-    if any(replace(c, seed=first.seed) != first for c in configs):
-        raise ValueError("the configs of a cell may differ only in their seeds")
-    return shape
+    return run_cell(problem, config, [seed], budget)[0]
 
 
 # The number of processes that share this process's cores.  A grid's
@@ -476,14 +464,14 @@ class _Run:
 
 
 @blas.run_settings()
-def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
+def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
     """Generation loop shared by every firework algorithm; one
-    :class:`RunResult` per config.
+    :class:`RunResult` per seed.
 
-    ``configs`` are those of the R runs of one cell, which differ only in
-    their seeds.  The caller resolves the run shape that the runs share
-    (:func:`_cell_shape`): ``lam`` sparks per explosion and ``budget``
-    evaluations per run; the tournament threshold is the configs' ``eps``.
+    The R runs of one cell share ``config`` and each has its own seed in
+    ``seeds``.  The caller resolves their run shape
+    (:func:`resolve_run_shape`): ``lam`` sparks per explosion and ``budget``
+    evaluations per run; the tournament threshold is ``config.eps``.
     Each run spawns ``n_fireworks`` generators from ``default_rng(seed)``
     and starts firework ``i`` as ``new(i, rng)`` with the ``i``-th of them:
     a firework at a fresh mean, evaluated once, that keeps ``rng`` as its
@@ -527,11 +515,11 @@ def _drive(problem, configs, lam, budget, new, fresh, burst) -> list:
     The pool threads allocate from the heap the timed generations grew,
     since :func:`tfwa.blas.keep_heap` caps glibc at one arena.
     """
-    n, eps = configs[0].n_fireworks, configs[0].eps
+    n, eps = config.n_fireworks, config.eps
     f_star = float(getattr(problem, "f_star", 0.0))
     runs = [
-        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(c.seed).spawn(n))], f_star)
-        for c in configs
+        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(seed).spawn(n))], f_star)
+        for seed in seeds
     ]
     workers = min(n * len(runs), _cores())
     explode_all = burst

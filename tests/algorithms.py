@@ -10,18 +10,18 @@ ALGORITHMS = harness.ALGORITHMS
 
 def cell_of(algo):
     """``algo``'s cell runner: the one its table row names, looked up in
-    ``tfwa.harness`` when called, given every config with the row's swarm
+    ``tfwa.harness`` when called, given the config with the row's swarm
     fields set."""
     name, overrides = harness._RUNNERS[algo]
 
-    def cell(problem, configs):
-        configs = [dataclasses.replace(c, **overrides) for c in configs]
-        return getattr(harness, name)(problem, configs)
+    def cell(problem, config, seeds, budget=None):
+        config = dataclasses.replace(config, **overrides)
+        return getattr(harness, name)(problem, config, seeds, budget)
 
     return cell
 
 
 def run_of(algo):
-    """One run of ``algo``: its cell of one config."""
+    """One run of ``algo``: its cell of one seed."""
     cell = cell_of(algo)
-    return lambda problem, config: cell(problem, [config])[0]
+    return lambda problem, config, seed=0, budget=None: cell(problem, config, [seed], budget)[0]

@@ -165,7 +165,7 @@ def test_criterion_5_gaussian_degeneration():
     ratio, ratio_cap = _weight_ratio(1.0e8), _weight_ratio(DF_CAP)
 
     problem = make_problem("sphere", 10, seed=0)
-    results = cell_of("gaussian-limit")(problem, [SwarmConfig(seed=rep) for rep in range(30)])
+    results = cell_of("gaussian-limit")(problem, SwarmConfig(), range(30))
     hits = sum(r.best_fitness - problem.f_star <= 1e-8 for r in results)
     ok = ratio < 1.001 and ratio_cap < 1.001 and hits >= 27
     _verdict(
@@ -217,7 +217,7 @@ def test_criterion_6_harness_invariants(tmp_path):
     problem = make_problem("rastrigin", 5, seed=0)
     for algo in ALGORITHMS:
         prev_best = math.inf
-        for rec in run_of(algo)(problem, SwarmConfig(seed=3)).trace:
+        for rec in run_of(algo)(problem, SwarmConfig(), seed=3).trace:
             mono_ok = mono_ok and rec.best_gap <= prev_best + 1e-15
             prev_best = rec.best_gap
 

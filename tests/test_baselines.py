@@ -45,22 +45,21 @@ class _LinearProblem:
 
 def test_gaussian_limit_df_frozen_in_trace():
     problem = make_problem("sphere", 3, seed=0)
-    result = run_of("gaussian-limit")(problem, SwarmConfig(seed=0, budget=2_000))
+    result = run_of("gaussian-limit")(problem, SwarmConfig(), seed=0, budget=2_000)
     assert len(result.trace) > 0
     assert all(r.df == DF_CAP for r in result.trace)
 
 
 def test_gaussian_limit_converges_on_sphere():
     problem = make_problem("sphere", 10, seed=0)
-    result = run_of("gaussian-limit")(problem, SwarmConfig(seed=0))
+    result = run_of("gaussian-limit")(problem, SwarmConfig(), seed=0)
     assert result.best_fitness - problem.f_star < 1e-8
 
 
 def test_gaussian_limit_deterministic():
     problem = make_problem("ackley", 3, seed=0)
-    config = SwarmConfig(seed=9, budget=2_000)
-    a = run_of("gaussian-limit")(problem, config)
-    b = run_of("gaussian-limit")(problem, config)
+    a = run_of("gaussian-limit")(problem, SwarmConfig(), seed=9, budget=2_000)
+    b = run_of("gaussian-limit")(problem, SwarmConfig(), seed=9, budget=2_000)
     assert a.best_fitness == b.best_fitness
     for ra, rb in zip(a.trace, b.trace):
         assert dataclasses.astuple(ra) == dataclasses.astuple(rb)
@@ -88,8 +87,8 @@ def test_uniform_sparks_clipped_at_bounds():
 
 
 def test_uniform_fwa_amplitude_decay_on_flat():
-    config = SwarmConfig(seed=0, budget=500, sparks_per_firework=10)
-    result = uniform_fwa_run(_FlatProblem(), config)
+    config = SwarmConfig(sparks_per_firework=10)
+    result = uniform_fwa_run(_FlatProblem(), config, seed=0, budget=500)
     for fw in (0, 1):
         amps = [r.scale for r in result.trace if r.fw == fw]
         expected = [100.0 * 0.9 ** (k + 1) for k in range(len(amps))]
@@ -97,8 +96,8 @@ def test_uniform_fwa_amplitude_decay_on_flat():
 
 
 def test_uniform_fwa_amplitude_dynamics_on_improvement():
-    config = SwarmConfig(seed=0, budget=2_000, sparks_per_firework=10)
-    result = uniform_fwa_run(_LinearProblem(), config)
+    config = SwarmConfig(sparks_per_firework=10)
+    result = uniform_fwa_run(_LinearProblem(), config, seed=0, budget=2_000)
     box = 200.0
     for fw in (0, 1):
         amps = [100.0] + [r.scale for r in result.trace if r.fw == fw and not r.restart]
@@ -116,15 +115,14 @@ def test_uniform_fwa_amplitude_dynamics_on_improvement():
 
 def test_uniform_fwa_trace_has_no_df():
     problem = make_problem("sphere", 2, seed=0)
-    result = uniform_fwa_run(problem, SwarmConfig(seed=0, budget=500))
+    result = uniform_fwa_run(problem, SwarmConfig(), seed=0, budget=500)
     assert all(r.df == 0.0 for r in result.trace)
 
 
 def test_uniform_fwa_budget_and_determinism():
     problem = make_problem("rastrigin", 3, seed=0)
-    config = SwarmConfig(seed=7, budget=2_001)
-    a = uniform_fwa_run(problem, config)
-    b = uniform_fwa_run(problem, config)
+    a = uniform_fwa_run(problem, SwarmConfig(), seed=7, budget=2_001)
+    b = uniform_fwa_run(problem, SwarmConfig(), seed=7, budget=2_001)
     assert a.evals_used <= 2_001 + 2
     assert a.best_fitness == b.best_fitness
     assert a.evals_used == b.evals_used
@@ -132,16 +130,15 @@ def test_uniform_fwa_budget_and_determinism():
 
 def test_uniform_fwa_improves_on_sphere():
     problem = make_problem("sphere", 2, seed=0)
-    result = uniform_fwa_run(problem, SwarmConfig(seed=0, budget=5_000))
+    result = uniform_fwa_run(problem, SwarmConfig(), seed=0, budget=5_000)
     start = max(r.gap for r in result.trace if r.gen == 1)
     assert result.best_fitness - problem.f_star < start
 
 
 def test_random_search_budget_and_determinism():
     problem = make_problem("sphere", 3, seed=0)
-    config = SwarmConfig(seed=11, budget=1_000)
-    a = random_search_run(problem, config)
-    b = random_search_run(problem, config)
+    a = random_search_run(problem, SwarmConfig(), seed=11, budget=1_000)
+    b = random_search_run(problem, SwarmConfig(), seed=11, budget=1_000)
     assert a.evals_used <= 1_000
     assert a.best_fitness == b.best_fitness
     assert np.isfinite(a.best_fitness)
@@ -149,10 +146,10 @@ def test_random_search_budget_and_determinism():
     assert all(y <= x for x, y in zip(gaps, gaps[1:]))
 
 
-def _random_search_per_generation(problem, config):
+def _random_search_per_generation(problem, config, seed, budget):
     """Reference: random search drawing and evaluating one generation per call."""
-    rng = np.random.default_rng(config.seed)
-    n, lam, budget = resolve_run_shape(problem, config)
+    rng = np.random.default_rng(seed)
+    n, lam, budget = resolve_run_shape(problem, config, budget)
     batch = n * lam
     best_f, best_x, evals, g, trace = math.inf, None, 0, 0, []
     while evals + batch <= budget:
@@ -210,10 +207,9 @@ class _HalfNanSphere:
     ],
 )
 def test_random_search_blocks_match_per_generation(dim, budget):
-    config = SwarmConfig(seed=3, budget=budget)
-    reference = _random_search_per_generation(_HalfNanSphere(dim), config)
+    reference = _random_search_per_generation(_HalfNanSphere(dim), SwarmConfig(), 3, budget)
     problem = _HalfNanSphere(dim)
-    result = random_search_run(problem, config)
+    result = random_search_run(problem, SwarmConfig(), seed=3, budget=budget)
 
     assert np.array_equal(result.best_position, reference.best_position)
     assert result.best_fitness == reference.best_fitness

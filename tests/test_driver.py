@@ -66,7 +66,7 @@ def test_asymmetric_box_keeps_optimum_and_starts_inside(algo):
     problem = make_problem("sphere", 4, seed=0, lb=5.0, ub=10.0)
     _assert_in_box(problem.optimum()[0], 5.0, 10.0)
     recording = _Recording(problem)
-    run_of(algo)(recording, SwarmConfig(seed=0, budget=400))
+    run_of(algo)(recording, SwarmConfig(), seed=0, budget=400)
     _assert_in_box(recording.all_points(), 5.0, 10.0)
 
 
@@ -84,11 +84,11 @@ def test_failed_weight_fusion_charges_its_evaluated_sparks(monkeypatch):
 
     monkeypatch.setattr(explosion_mod, "fuse_weights", flaky)
     recording = _Recording(make_problem("sphere", 5, seed=0))
-    config = SwarmConfig(seed=0, budget=2000)
-    result = run(recording, config)
+    config = SwarmConfig()
+    result = run(recording, config, seed=0, budget=2000)
     assert calls["n"] >= 7
     assert result.evals_used == len(recording.all_points())
-    assert result.evals_used <= config.budget + config.n_fireworks
+    assert result.evals_used <= 2000 + config.n_fireworks
 
 
 class _Lowered:
@@ -121,28 +121,28 @@ def _cases(draw):
         n_fireworks=n,
         df_factors=(1.05, 10.0, 2.0)[:n],
         sparks_per_firework=lam,
-        budget=n * (lam + 1) + draw(hst.integers(0, 150)),
-        seed=draw(hst.integers(0, 2**16)),
     )
+    budget = n * (lam + 1) + draw(hst.integers(0, 150))
+    seed = draw(hst.integers(0, 2**16))
     name = draw(hst.sampled_from(["sphere", "rastrigin", "rosenbrock"]))
     problem = make_problem(name, draw(hst.integers(2, 5)), seed=0, lb=lb, ub=ub)
     if draw(hst.booleans()):
         problem = _Lowered(problem)
-    return problem, config
+    return problem, config, seed, budget
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @settings(max_examples=20, deadline=None)
 @given(case=_cases())
-@example(case=(_Lowered(make_problem("rastrigin", 3, seed=0)), SwarmConfig(seed=0, budget=300)))
+@example(case=(_Lowered(make_problem("rastrigin", 3, seed=0)), SwarmConfig(), 0, 300))
 def test_run_invariants(algo, case):
-    problem, config = case
+    problem, config, seed, budget = case
     runner = run_of(algo)
     recording = _Recording(problem)
-    result = runner(recording, config)
+    result = runner(recording, config, seed, budget)
 
     slack = 0 if algo == "random-search" else config.n_fireworks
-    assert result.evals_used <= config.budget + slack
+    assert result.evals_used <= budget + slack
     _assert_in_box(problem.optimum()[0], problem.lb, problem.ub)
     _assert_in_box(recording.all_points(), problem.lb, problem.ub)
 
@@ -162,7 +162,7 @@ def test_run_invariants(algo, case):
     last = rows[result.generations]
     assert last == sorted(set(last)) and set(last) <= set(per_gen)
 
-    again = runner(problem, config)
+    again = runner(problem, config, seed, budget)
     assert again.best_fitness == result.best_fitness
     assert np.array_equal(again.best_position, result.best_position)
     assert (again.evals_used, again.generations) == (result.evals_used, result.generations)
@@ -196,11 +196,11 @@ class _NanSphere:
 @pytest.mark.parametrize("nan_above", [50.0, -math.inf], ids=["nan-part", "nan-all"])
 def test_nan_fitness_counts_as_worst(algo, nan_above):
     problem = _NanSphere(5, nan_above)
-    config = SwarmConfig(seed=1, budget=5000)
-    result = run_of(algo)(problem, config)
+    config = SwarmConfig()
+    result = run_of(algo)(problem, config, seed=1, budget=5000)
 
     slack = 0 if algo == "random-search" else config.n_fireworks
-    assert result.evals_used <= config.budget + slack
+    assert result.evals_used <= 5000 + slack
     assert not any(math.isnan(r.gap) or math.isnan(r.best_gap) for r in result.trace)
     if problem.finite:
         assert result.best_fitness == min(problem.finite)
@@ -234,8 +234,8 @@ def test_trace_lines_are_the_run_records(tmp_path, monkeypatch, algo, objective)
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     for row in rows:
-        config = SwarmConfig(seed=int(row["seed"]), budget=300)
-        result = run_of(algo)(objective_for("sphere", 3, 0), config)
+        problem = objective_for("sphere", 3, 0)
+        result = run_of(algo)(problem, SwarmConfig(), seed=int(row["seed"]), budget=300)
         path = out / "traces" / f"sphere_d3_{algo}_rep{row['rep']}.jsonl"
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == len(result.trace)
@@ -265,11 +265,11 @@ class _ScalarOnly:
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_runner_needs_only_evaluate(algo):
     objective = _ScalarOnly(make_problem("rastrigin", 3, seed=0))
-    config = SwarmConfig(seed=2, budget=600)
-    result = run_of(algo)(objective, config)
+    config = SwarmConfig()
+    result = run_of(algo)(objective, config, seed=2, budget=600)
 
     slack = 0 if algo == "random-search" else config.n_fireworks
-    assert 0 < result.evals_used <= config.budget + slack
+    assert 0 < result.evals_used <= 600 + slack
     assert result.generations > 0
     assert result.best_fitness == objective.evaluate(result.best_position)
 
@@ -284,9 +284,12 @@ def _as_tuple(result):
     )
 
 
-# ackley d=3 under these configs restarts each firework run a different
-# number of times, so the runs of a cell end at different generations
-_CELL_CONFIGS = [SwarmConfig(seed=s, budget=300, sparks_per_firework=6) for s in range(4)]
+# ackley d=3 under this config restarts each firework run a different number
+# of times, so the runs of a cell end at different generations; the seeds
+# repeat one and skip some, so two runs of a cell share a seed
+_CELL_CONFIG = SwarmConfig(sparks_per_firework=6)
+_CELL_SEEDS = [3, 0, 3, 7]
+_CELL_BUDGET = 300
 
 
 @pytest.mark.parametrize("objective", ["restarts-differ", "nan-part"])
@@ -296,30 +299,22 @@ def test_cell_matches_runs(algo, objective):
         problem = _NanSphere(3, 20.0)
     else:
         problem = make_problem("ackley", 3, seed=0)
-    results = cell_of(algo)(problem, _CELL_CONFIGS)
-    assert [_as_tuple(r) for r in results] == [
-        _as_tuple(run_of(algo)(problem, c)) for c in _CELL_CONFIGS
+    cell = cell_of(algo)(problem, _CELL_CONFIG, _CELL_SEEDS, _CELL_BUDGET)
+    results = [_as_tuple(r) for r in cell]
+    assert results == [
+        _as_tuple(run_of(algo)(problem, _CELL_CONFIG, s, _CELL_BUDGET)) for s in _CELL_SEEDS
     ]
+    # the two runs of seed 3 ran side by side and still agree
+    assert results[0] == results[2]
     if objective == "restarts-differ" and algo != "random-search":
-        assert len({r.generations for r in results}) > 1
+        assert len({generations for _, _, _, generations, _ in results}) > 1
 
 
 def test_uniform_cell_evaluates_one_batch_per_generation(monkeypatch):
     monkeypatch.setattr(swarm_mod, "THREAD_MIN_BURST_S", math.inf)  # in turn
     recording = _Recording(make_problem("ackley", 3, seed=0))
-    results = uniform_fwa_cell(recording, _CELL_CONFIGS)
+    results = uniform_fwa_cell(recording, _CELL_CONFIG, _CELL_SEEDS, _CELL_BUDGET)
     # the starting points are evaluated one at a time, the sparks in batches
     batches = [p for p in recording.points if len(p) > 1]
     assert len(batches) == max(r.generations for r in results)
-    assert len(batches[0]) == len(_CELL_CONFIGS) * 2 * 6
-
-
-@pytest.mark.parametrize("algo", ALGORITHMS)
-@pytest.mark.parametrize(
-    "configs",
-    [[], [SwarmConfig(seed=0), SwarmConfig(seed=1, eps=1e-3)]],
-    ids=["empty", "differ-beyond-seed"],
-)
-def test_cell_rejects_configs_of_more_than_one_cell(algo, configs):
-    with pytest.raises(ValueError, match="cell"):
-        cell_of(algo)(make_problem("sphere", 2, seed=0), configs)
+    assert len(batches[0]) == len(_CELL_SEEDS) * 2 * 6

@@ -178,6 +178,16 @@ def test_repair_bounds_resample_is_uniform():
     assert abs(out.mean() - 0.0) < 0.01 * 200.0
 
 
+@pytest.mark.parametrize("lb, ub", [(-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308)])
+def test_box_of_infinite_width_rejected(lb, ub):
+    # numpy's uniform draws overflow on such a box, so it is refused up front,
+    # as a box with lb >= ub is
+    with pytest.raises(ValueError, match="finite ub - lb"):
+        make_problem("sphere", 3, lb=lb, ub=ub)
+    with pytest.raises(ValueError, match="finite ub - lb"):
+        repair_bounds(np.array([1.0, -math.inf]), lb, ub, np.random.default_rng(0))
+
+
 def _assert_pair_rebuilds(out, vals, vecs):
     assert np.all(np.diff(vals) >= 0)
     rebuilt = (vecs * vals) @ vecs.T

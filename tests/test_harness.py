@@ -403,20 +403,20 @@ def test_gaussian_limit_row_is_tfwa_at_the_df_cap(tmp_path):
 
 
 def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
-    # a rebinding of the module attribute (a profiler's wrapper) sees every run
+    # a rebinding of the module attribute substitutes the runner in every job
     real = tfwa.harness.uniform_fwa_cell
     seen = []
 
-    def wrapped(problem, configs):
-        seen.append([c.seed for c in configs])
-        return real(problem, configs)
+    def wrapped(problem, config, seeds, budget):
+        seen.append((list(seeds), budget))
+        return real(problem, config, seeds, budget)
 
     monkeypatch.setattr(tfwa.harness, "uniform_fwa_cell", wrapped)
     config = ExperimentConfig(
         suite=("sphere",), dims=(2,), algos=("uniform-fwa",), reps=2, budget_multiplier=100
     )
     rows, _ = run_experiment(config)
-    assert seen == [[0, 1]]
+    assert seen == [([0, 1], 200)]
     assert len(rows) == 2
 
 
@@ -428,16 +428,15 @@ def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, 
     runner, _ = tfwa.harness._RUNNERS[algo]
     real, results = getattr(tfwa.harness, runner), []
 
-    def keep(problem, configs):
-        results.extend(real(problem, configs))
+    def keep(problem, config, seeds, budget):
+        results.extend(real(problem, config, seeds, budget))
         return results
 
     monkeypatch.setattr(tfwa.harness, runner, keep)
     (tmp_path / "traces").mkdir()
     # repetitions 1 and 2 of a grid with base seed 3
-    configs = [SwarmConfig(seed=seed, budget=300) for seed in (4, 5)]
     out_dir = str(tmp_path) if traced else None
-    outcomes = _run_cells((("sphere", 2, 3), algo, configs, out_dir))
+    outcomes = _run_cells((("sphere", 2, 3), algo, SwarmConfig(), 300, [4, 5], out_dir))
 
     f_star = make_problem("sphere", 2, 3).f_star
     assert outcomes == [
@@ -459,7 +458,7 @@ def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, 
 def test_failed_grid_keeps_finished_traces_and_writes_no_results(tmp_path, monkeypatch):
     # each job writes its traces as it ends, the grid files only come after
     # the last job, so a grid whose second cell raises leaves the first's traces
-    def fail(problem, configs):
+    def fail(problem, config, seeds, budget):
         raise RuntimeError("cell failed")
 
     monkeypatch.setattr(tfwa.harness, "uniform_fwa_cell", fail)
@@ -522,8 +521,8 @@ def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False, caller
     caller = os.getpid()
 
     def logged(name, runner):
-        def run(problem, configs):
-            key = f"{problem.name}/{name}/{configs[0].seed}"
+        def run(problem, config, seeds, budget):
+            key = f"{problem.name}/{name}/{seeds[0]}"
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {key}\n")
             if key == fail:
@@ -531,7 +530,7 @@ def _log_jobs(monkeypatch, log, fail=None, pause=0.0, worker_exits=False, caller
             if worker_exits and os.getpid() != caller:
                 os._exit(1)
             time.sleep(pause + (caller_pause if os.getpid() == caller else 0.0))
-            return runner(problem, configs)
+            return runner(problem, config, seeds, budget)
 
         return run
 
@@ -702,7 +701,7 @@ def test_failed_rerun_into_a_used_out_dir_leaves_no_old_results(tmp_path, monkey
     run_experiment(grid)
     (out / "notes.txt").write_text("kept\n")
 
-    def failing_cell(problem, configs):
+    def failing_cell(problem, config, seeds, budget):
         raise RuntimeError("cell failed")
 
     monkeypatch.setattr(tfwa.harness, "random_search_cell", failing_cell)
@@ -1036,21 +1035,16 @@ def test_validate_accepts_numpy_integers():
     )
 
 
-@pytest.mark.parametrize("swarm", [{"seed": 9}, {"budget": 500}], ids=["seed", "budget"])
-def test_validate_rejects_per_run_swarm_fields(swarm):
-    # run_experiment sets both in every run, so another value would do nothing
-    with pytest.raises(ValueError, match=f"swarm.{next(iter(swarm))} must be"):
-        validate_experiment(ExperimentConfig(swarm=SwarmConfig(**swarm)))
-
-
 def test_cli_config_file_rejects_per_run_swarm_fields(tmp_path, capsys):
+    # a run's seed and budget are not swarm fields: the grid sets them per run
     cfg_path = tmp_path / "exp.json"
     grid = {"suite": ["sphere"], "dims": [2], "algos": ["random-search"], "reps": 3}
-    cfg_path.write_text(json.dumps({**grid, "swarm": {"budget": 500, "seed": 9}}))
-    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "swarm.seed must be 0" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    for key, value in (("seed", 9), ("budget", 500)):
+        cfg_path.write_text(json.dumps({**grid, "swarm": {key: value}}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_cli_config_file_invalid_json(tmp_path, capsys):

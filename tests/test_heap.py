@@ -35,10 +35,9 @@ from tfwa.benchfns import make_problem
 from tfwa.swarm import SwarmConfig, run
 
 def faults(runner, problem, budget):
-    config = SwarmConfig(seed=0, budget=budget)
-    runner(problem, config)  # warm up
+    runner(problem, SwarmConfig(), 0, budget)  # warm up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    runner(problem, config)
+    runner(problem, SwarmConfig(), 0, budget)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 d100 = make_problem("rastrigin", 100, seed=0)
@@ -59,7 +58,7 @@ from tfwa.swarm import SwarmConfig, run
 # every generation after the two timed ones explodes on a pool of two threads
 swarm.THREAD_MIN_BURST_S = 0
 swarm._cores = lambda: 2
-run(make_problem("rastrigin", 100, seed=0), SwarmConfig(seed=0, budget=2 + 4 * 2 * 500))
+run(make_problem("rastrigin", 100, seed=0), SwarmConfig(), seed=0, budget=2 + 4 * 2 * 500)
 ctypes.CDLL(None).malloc_stats()
 """
 
@@ -121,14 +120,15 @@ def _fake_libc(monkeypatch, libc, accepts=lambda param: True):
     return calls
 
 
-CONFIG = SwarmConfig(seed=3, budget=2_000)
+CONFIG = SwarmConfig()
+SEED, BUDGET = 3, 2_000
 
 
 def test_off_glibc_nothing_is_called_and_the_run_is_unchanged(monkeypatch):
     problem = make_problem("rastrigin", 5, seed=0)
-    expected = run(problem, CONFIG)
+    expected = run(problem, CONFIG, SEED, BUDGET)
     calls = _fake_libc(monkeypatch, "")
-    result = run(problem, CONFIG)
+    result = run(problem, CONFIG, SEED, BUDGET)
     assert calls == []
     assert _same_run(result, expected)
 
@@ -136,9 +136,9 @@ def test_off_glibc_nothing_is_called_and_the_run_is_unchanged(monkeypatch):
 def test_heap_setting_is_applied_once_per_process(monkeypatch):
     calls = _fake_libc(monkeypatch, "glibc")
     problem = make_problem("rastrigin", 5, seed=0)
-    run(problem, CONFIG)
-    random_search_run(problem, CONFIG)
-    run(problem, CONFIG)
+    run(problem, CONFIG, SEED, BUDGET)
+    random_search_run(problem, CONFIG, SEED, BUDGET)
+    run(problem, CONFIG, SEED, BUDGET)
     mib = 2**20
     assert calls == [(-3, 32 * mib), (-1, 64 * mib), (-8, 1)]
 
@@ -148,12 +148,12 @@ def test_refused_mmap_threshold_warns_and_leaves_trim_alone(monkeypatch):
     # and fault more, not less
     calls = _fake_libc(monkeypatch, "glibc", accepts=lambda param: False)
     with pytest.warns(UserWarning, match="mallopt"):
-        run(make_problem("rastrigin", 5, seed=0), CONFIG)
+        run(make_problem("rastrigin", 5, seed=0), CONFIG, SEED, BUDGET)
     assert calls == [(-3, 32 * 2**20)]
 
 
 def test_refused_arena_cap_warns_after_the_thresholds(monkeypatch):
     calls = _fake_libc(monkeypatch, "glibc", accepts=lambda param: param != -8)
     with pytest.warns(UserWarning, match=r"mallopt\(-8, 1\)"):
-        run(make_problem("rastrigin", 5, seed=0), CONFIG)
+        run(make_problem("rastrigin", 5, seed=0), CONFIG, SEED, BUDGET)
     assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20), (-8, 1)]

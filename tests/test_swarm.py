@@ -31,18 +31,18 @@ def test_resolve_defaults_dim3():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, budget",
     [
-        SwarmConfig(n_fireworks=0, df_factors=()),
-        SwarmConfig(n_fireworks=2, df_factors=(1.05,)),
-        SwarmConfig(df_factors=5),
-        SwarmConfig(df_factors=(1.0, 10.0)),
-        SwarmConfig(df_factors=(float("nan"), 10.0)),
-        SwarmConfig(df_init=1.5),
-        SwarmConfig(df_init=2.0**31),
-        SwarmConfig(eps=0.0),
-        SwarmConfig(eps=float("nan")),
-        SwarmConfig(budget=10),
+        (SwarmConfig(n_fireworks=0, df_factors=()), None),
+        (SwarmConfig(n_fireworks=2, df_factors=(1.05,)), None),
+        (SwarmConfig(df_factors=5), None),
+        (SwarmConfig(df_factors=(1.0, 10.0)), None),
+        (SwarmConfig(df_factors=(float("nan"), 10.0)), None),
+        (SwarmConfig(df_init=1.5), None),
+        (SwarmConfig(df_init=2.0**31), None),
+        (SwarmConfig(eps=0.0), None),
+        (SwarmConfig(eps=float("nan")), None),
+        (SwarmConfig(), 10),
     ],
     ids=[
         "no-fireworks",
@@ -57,10 +57,10 @@ def test_resolve_defaults_dim3():
         "budget",
     ],
 )
-def test_resolve_rejects_bad_config(config):
+def test_resolve_rejects_bad_config(config, budget):
     problem = make_problem("sphere", 4, seed=0)
     with pytest.raises(ValueError):
-        resolve_run_shape(problem, config)
+        resolve_run_shape(problem, config, budget)
 
 
 def test_run_cell_starts_fireworks(monkeypatch):
@@ -89,8 +89,7 @@ def test_run_cell_starts_fireworks(monkeypatch):
     monkeypatch.setattr(swarm_mod, "_fresh_t_firework", fresh)
     monkeypatch.setattr(swarm_mod, "_evaluate_one", evaluate_one)
     monkeypatch.setattr(swarm_mod, "explode", explode)
-    configs = [SwarmConfig(seed=s, budget=2 + 2 * 30 * 3) for s in (0, 1)]
-    swarm_mod.run_cell(problem, configs)
+    swarm_mod.run_cell(problem, SwarmConfig(), [0, 1], 2 + 2 * 30 * 3)
     # every fresh firework evaluates its mean once, and the four starts come
     # first: both fireworks of run 0, then both of run 1
     assert len(evaluated) == len(started) >= 4
@@ -131,7 +130,7 @@ def test_run_factorises_once_per_explosion(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(swarm_mod, "explode", explode)
-    result = run(problem, SwarmConfig(seed=0, budget=20_000))
+    result = run(problem, SwarmConfig(), seed=0, budget=20_000)
     assert result.restarts > 0
     assert calls["explode"] > 0
     assert calls["eigh"] == calls["explode"]
@@ -209,9 +208,8 @@ def test_restart_resets_state():
 
 def test_run_deterministic():
     problem = make_problem("rastrigin", 3, seed=0)
-    config = SwarmConfig(seed=4, budget=3_000)
-    a = run(problem, config)
-    b = run(problem, config)
+    a = run(problem, SwarmConfig(), seed=4, budget=3_000)
+    b = run(problem, SwarmConfig(), seed=4, budget=3_000)
     assert a.best_fitness == b.best_fitness
     assert np.array_equal(a.best_position, b.best_position)
     assert a.evals_used == b.evals_used
@@ -223,29 +221,28 @@ def test_run_deterministic():
 def test_run_budget_accounting():
     problem = make_problem("ackley", 3, seed=0)
     for budget in (500, 1_001, 2_345):
-        config = SwarmConfig(seed=0, budget=budget)
-        result = run(problem, config)
+        config = SwarmConfig()
+        result = run(problem, config, seed=0, budget=budget)
         assert result.evals_used <= budget + config.n_fireworks
 
 
 def test_run_sphere_10d_converges():
     problem = make_problem("sphere", 10, seed=0)
-    result = run(problem, SwarmConfig(seed=0))
+    result = run(problem, SwarmConfig(), seed=0)
     assert result.best_fitness - problem.f_star < 1e-8
     assert result.evals_used <= 100_000 + 2
 
 
 def test_run_single_firework_never_restarts():
     problem = make_problem("rastrigin", 2, seed=0)
-    config = SwarmConfig(n_fireworks=1, df_factors=(1.05,), seed=3, budget=2_000)
-    result = run(problem, config)
+    config = SwarmConfig(n_fireworks=1, df_factors=(1.05,))
+    result = run(problem, config, seed=3, budget=2_000)
     assert result.restarts == 0
 
 
 def test_run_trace_covers_all_fireworks():
     problem = make_problem("griewank", 2, seed=0)
-    config = SwarmConfig(seed=1, budget=1_000)
-    result = run(problem, config)
+    result = run(problem, SwarmConfig(), seed=1, budget=1_000)
     full_gens = {r.gen for r in result.trace if not r.restart}
     for g in sorted(full_gens)[:-1]:
         rows = [r for r in result.trace if r.gen == g]
@@ -254,7 +251,7 @@ def test_run_trace_covers_all_fireworks():
 
 def test_run_best_gap_non_increasing():
     problem = make_problem("rosenbrock", 3, seed=0)
-    result = run(problem, SwarmConfig(seed=2, budget=5_000))
+    result = run(problem, SwarmConfig(), seed=2, budget=5_000)
     gaps = [r.best_gap for r in result.trace]
     assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
     assert result.best_fitness - problem.f_star == pytest.approx(gaps[-1], abs=1e-12)
@@ -262,7 +259,7 @@ def test_run_best_gap_non_increasing():
 
 def test_run_df_non_decreasing_between_restarts():
     problem = make_problem("rastrigin", 3, seed=0)
-    result = run(problem, SwarmConfig(seed=5, budget=8_000))
+    result = run(problem, SwarmConfig(), seed=5, budget=8_000)
     last_df = {}
     for row in result.trace:
         if row.fw in last_df and not row.restart:
@@ -272,7 +269,7 @@ def test_run_df_non_decreasing_between_restarts():
 
 def test_run_restarts_happen_on_multimodal():
     problem = make_problem("rastrigin", 5, seed=0)
-    result = run(problem, SwarmConfig(seed=0, budget=20_000))
+    result = run(problem, SwarmConfig(), seed=0, budget=20_000)
     assert result.restarts > 0
 
 
@@ -288,7 +285,7 @@ def test_degenerate_explosion_triggers_restart(monkeypatch):
         return real_explode(state, params, objective, rng)
 
     monkeypatch.setattr(swarm_mod, "explode", flaky)
-    result = run(problem, SwarmConfig(seed=0, budget=400))
+    result = run(problem, SwarmConfig(), seed=0, budget=400)
     assert result.restarts >= 1
     restart_rows = [r for r in result.trace if r.restart]
     assert any(r.df == 5.0 and r.scale == 200.0 for r in restart_rows)
@@ -296,8 +293,8 @@ def test_degenerate_explosion_triggers_restart(monkeypatch):
 
 def test_degenerate_with_evaluated_sparks_keeps_accounting(monkeypatch):
     problem = make_problem("sphere", 2, seed=0)
-    config = SwarmConfig(seed=0, budget=400)
-    _, lam, budget = resolve_run_shape(problem, config)
+    config = SwarmConfig()
+    _, lam, budget = resolve_run_shape(problem, config, 400)
     calls = {"n": 0}
     real_explode = swarm_mod.explode
 
@@ -310,7 +307,7 @@ def test_degenerate_with_evaluated_sparks_keeps_accounting(monkeypatch):
         return real_explode(state, params, objective, rng)
 
     monkeypatch.setattr(swarm_mod, "explode", flaky)
-    result = run(problem, config)
+    result = run(problem, config, seed=0, budget=budget)
     assert result.evals_used <= budget + config.n_fireworks
     # the evaluated sparks at the origin must feed the best tracker
     assert result.best_fitness <= problem.evaluate(np.zeros(2))
@@ -322,7 +319,7 @@ def test_partial_generation_is_last_after_failure_before_sampling(monkeypatch):
     # for another explosion, but a generation in which fewer than all
     # fireworks explode is the run's last
     problem = make_problem("sphere", 2, seed=0)
-    config = SwarmConfig(seed=0, budget=2 + 3 * 2 * 10 + 10 + 5)
+    budget = 2 + 3 * 2 * 10 + 10 + 5
     calls = {"n": 0}
     real_explode = swarm_mod.explode
 
@@ -333,9 +330,9 @@ def test_partial_generation_is_last_after_failure_before_sampling(monkeypatch):
         return real_explode(state, params, objective, rng)
 
     monkeypatch.setattr(swarm_mod, "explode", flaky)
-    result = run(problem, config)
+    result = run(problem, SwarmConfig(), seed=0, budget=budget)
     assert calls["n"] == 7
     assert result.generations == 4
     last = result.trace[-1]
     assert (last.gen, last.fw, last.restart) == (4, 0, True)
-    assert result.evals_used <= config.budget - 10
+    assert result.evals_used <= budget - 10

@@ -160,13 +160,13 @@ def _as_tuple(result):
 def test_threaded_matches_in_turn(monkeypatch, algo, tail):
     # 8 generations use 2 + 8 * 2 * LAM evaluations plus at most 16 restarts,
     # so a tail of LAM + 17 leaves room for the first firework of a ninth
-    config = SwarmConfig(seed=3, budget=2 + 8 * 2 * LAM + tail)
+    config, budget = SwarmConfig(), 2 + 8 * 2 * LAM + tail
     results, problems = [], []
     for min_burst_s in (IN_TURN, THREADED):
         _force(monkeypatch, min_burst_s)
         problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", DIM, seed=0)))
         problems.append(problem)
-        results.append(run_of(algo)(problem, config))
+        results.append(run_of(algo)(problem, config, 3, budget))
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert problems[0].threads == {threading.get_ident()}
@@ -183,17 +183,16 @@ def test_threaded_matches_in_turn_under_stress(monkeypatch):
         n_fireworks=6,
         df_factors=(1.05, 10.0, 2.0, 1.5, 3.0, 5.0),
         sparks_per_firework=60,
-        seed=11,
-        # 12 generations, then 2 or 3 fireworks of a 13th (at most 72 restarts)
-        budget=6 + 12 * 6 * 60 + 2 * 60 + 73,
     )
+    # 12 generations, then 2 or 3 fireworks of a 13th (at most 72 restarts)
+    budget = 6 + 12 * 6 * 60 + 2 * 60 + 73
     interval = sys.getswitchinterval()
     results = []
     try:
         sys.setswitchinterval(1e-5)
         for min_burst_s in (IN_TURN, THREADED):
             _force(monkeypatch, min_burst_s, cores=6)
-            results.append(run(make_problem("rastrigin", DIM, seed=1), config))
+            results.append(run(make_problem("rastrigin", DIM, seed=1), config, 11, budget))
     finally:
         sys.setswitchinterval(interval)
     assert _as_tuple(results[1]) == _as_tuple(results[0])
@@ -216,20 +215,20 @@ def test_threaded_matches_in_turn_with_degenerate_fireworks(monkeypatch):
             raise DegenerateStateError("forced before sampling")
         return real_explode(state, params, objective, rng)
 
-    config = SwarmConfig(seed=5, budget=2 + 9 * 2 * LAM + LAM)
+    config, budget = SwarmConfig(), 2 + 9 * 2 * LAM + LAM
     results, seen = [], []
     for min_burst_s in (IN_TURN, THREADED):
         events = []
         monkeypatch.setattr(swarm_mod, "explode", explode)
         _force(monkeypatch, min_burst_s)
-        results.append(run(make_problem("rastrigin", DIM, seed=0), config))
+        results.append(run(make_problem("rastrigin", DIM, seed=0), config, 5, budget))
         seen.append(sorted(events))
     in_turn, threaded = results
     assert _as_tuple(threaded) == _as_tuple(in_turn)
     assert seen[0] == seen[1]
     assert {"after-evaluation", "before-sampling"} <= set(seen[0])
     assert in_turn.restarts >= len(seen[0])
-    assert in_turn.evals_used <= config.budget + config.n_fireworks
+    assert in_turn.evals_used <= budget + config.n_fireworks
 
 
 @pytest.mark.parametrize("algo", FIREWORK_ALGOS)
@@ -238,14 +237,16 @@ def test_cell_on_the_pool_matches_runs_in_turn(monkeypatch, algo):
     # 52 - restarts evaluations, so a run with at most two restarts explodes
     # one firework of a 13th and the others none; the runs' last outcomes
     # arrive in uneven chunks and must not mix into another run's
-    configs = [SwarmConfig(seed=s, budget=2 + 12 * 2 * 50 + 52) for s in range(3)]
+    seeds, budget = range(3), 2 + 12 * 2 * 50 + 52
     _force(monkeypatch, IN_TURN)
-    alone = [run_of(algo)(make_problem("rastrigin", 10, seed=0), c) for c in configs]
+    alone = [
+        run_of(algo)(make_problem("rastrigin", 10, seed=0), SwarmConfig(), s, budget) for s in seeds
+    ]
     _force(monkeypatch, THREADED, cores=3)
     problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
-    pooled = cell_of(algo)(problem, configs)
+    pooled = cell_of(algo)(problem, SwarmConfig(), seeds, budget)
     assert [_as_tuple(r) for r in pooled] == [_as_tuple(r) for r in alone]
-    assert problem.split_after_timing(_timed_batches(algo, 2 * len(configs)), 50, 3)
+    assert problem.split_after_timing(_timed_batches(algo, 2 * len(seeds)), 50, 3)
     assert len(problem.threads) > 1
     assert len({len(r.trace) for r in alone}) > 1
 
@@ -263,11 +264,11 @@ def test_cell_with_degenerate_fireworks_matches_runs(monkeypatch, min_burst_s):
         return real_explode(state, params, objective, rng)
 
     monkeypatch.setattr(swarm_mod, "explode", explode)
-    configs = [SwarmConfig(seed=s, budget=2 + 9 * 2 * 50 + 50) for s in range(3)]
+    seeds, budget = range(3), 2 + 9 * 2 * 50 + 50
     _force(monkeypatch, IN_TURN)
-    alone = [run(make_problem("rastrigin", 10, seed=0), c) for c in configs]
+    alone = [run(make_problem("rastrigin", 10, seed=0), SwarmConfig(), s, budget) for s in seeds]
     _force(monkeypatch, min_burst_s, cores=4)
-    cell = run_cell(make_problem("rastrigin", 10, seed=0), configs)
+    cell = run_cell(make_problem("rastrigin", 10, seed=0), SwarmConfig(), seeds, budget)
     assert [_as_tuple(r) for r in cell] == [_as_tuple(r) for r in alone]
     assert all(r.restarts >= 3 for r in alone)
 
@@ -277,14 +278,14 @@ def test_burst_cost_picks_the_path(monkeypatch):
     # goes to the pool, where it gives the in-turn run's bits; the run's
     # clock, not the host, decides which timed generations are costly
     monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
-    config = SwarmConfig(seed=0, budget=2 + 6 * 2 * 50)
+    config, budget = SwarmConfig(), 2 + 6 * 2 * 50
     for algo in ("tfwa", "uniform-fwa"):
         results, problems = [], []
         for tick in (0.0, 1.0):
             monkeypatch.setattr(swarm_mod.time, "perf_counter", _Clock(tick))
             problem = _mark_chunks(monkeypatch, _Problem(make_problem("sphere", 10, seed=0)))
             problems.append(problem)
-            results.append(run_of(algo)(problem, config))
+            results.append(run_of(algo)(problem, config, 0, budget))
         cheap, costly = problems
         assert cheap.threads == {threading.get_ident()}, algo
         timed = _timed_batches(algo, config.n_fireworks)
@@ -308,7 +309,7 @@ def test_pool_has_one_thread_per_worker(monkeypatch, runs, cores):
     monkeypatch.setattr(swarm_mod, "ThreadPoolExecutor", Pool)
     _force(monkeypatch, THREADED, cores=cores)
     problem = _mark_chunks(monkeypatch, _Problem(make_problem("rastrigin", 10, seed=0)))
-    run_cell(problem, [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(runs)])
+    run_cell(problem, SwarmConfig(), range(runs), 2 + 4 * 2 * 50)
     assert sizes == [cores]
     assert problem.split_after_timing(TIMED * 2 * runs, 50, cores)
 
@@ -345,8 +346,8 @@ def test_failed_chunk_raises_and_leaves_no_pool_thread(monkeypatch, failing):
     try:
         blas.set_threads(2)
         with pytest.raises(RuntimeError, match=f"failed in chunk {failing}"):
-            configs = [SwarmConfig(seed=s, budget=2 + 4 * 2 * 50) for s in range(3)]
-            run_cell(make_problem("rastrigin", 10, seed=0), configs)
+            problem = make_problem("rastrigin", 10, seed=0)
+            run_cell(problem, SwarmConfig(), range(3), 2 + 4 * 2 * 50)
         assert blas.threads() == 2
     finally:
         blas.set_threads(before)
@@ -358,7 +359,7 @@ def test_failed_chunk_raises_and_leaves_no_pool_thread(monkeypatch, failing):
 def test_one_core_explodes_in_turn(monkeypatch):
     _force(monkeypatch, THREADED, cores=1)
     problem = _Problem(make_problem("rastrigin", DIM, seed=0))
-    run(problem, SwarmConfig(seed=0, budget=2 + 2 * 2 * LAM))
+    run(problem, SwarmConfig(), seed=0, budget=2 + 2 * 2 * LAM)
     assert problem.threads == {threading.get_ident()}
 
 
@@ -436,7 +437,7 @@ import sys
 from tfwa.benchfns import make_problem
 from tfwa.swarm import SwarmConfig, run
 
-result = run(make_problem("rastrigin", 100, seed=0), SwarmConfig(seed=0, budget=12_002))
+result = run(make_problem("rastrigin", 100, seed=0), SwarmConfig(), seed=0, budget=12_002)
 result.trace.write(sys.stdout)
 sys.stdout.write(repr(result.best_fitness) + " " + result.best_position.tobytes().hex() + "\\n")
 """
@@ -500,7 +501,7 @@ def test_run_pins_one_blas_thread_and_restores(runner, dim):
     before = blas.threads()
     try:
         blas.set_threads(2)
-        runner(problem, SwarmConfig(seed=0, budget=2 + 3 * 10 * dim))
+        runner(problem, SwarmConfig(), seed=0, budget=2 + 3 * 10 * dim)
         assert blas.threads() == 2
     finally:
         blas.set_threads(before)
@@ -514,7 +515,7 @@ def test_failed_run_restores_blas_threads():
     try:
         blas.set_threads(2)
         with pytest.raises(RuntimeError, match="objective failed"):
-            run(problem, SwarmConfig(seed=0, budget=1_000))
+            run(problem, SwarmConfig(), seed=0, budget=1_000)
         assert blas.threads() == 2
     finally:
         blas.set_threads(before)
@@ -548,17 +549,16 @@ def test_algorithms_start_fireworks_at_same_means():
     # one seed starts tfwa, its Gaussian limit and the uniform baseline at
     # the same means, and every firework at a different one; in a cell of
     # two runs each run starts where it starts on its own
-    config = SwarmConfig(n_fireworks=3, df_factors=(1.05, 10.0, 2.0), seed=7, budget=400)
-    configs = [config, dataclasses.replace(config, seed=8)]
+    config = SwarmConfig(n_fireworks=3, df_factors=(1.05, 10.0, 2.0))
     starts = []
     for algo in FIREWORK_ALGOS:
         problem = _Problem(make_problem("sphere", 5, seed=0))
-        cell_of(algo)(problem, configs)
+        cell_of(algo)(problem, config, [7, 8], 400)
         starts.append(np.stack(problem.points[:6]))
     alone = []
-    for c in configs:
+    for seed in (7, 8):
         problem = _Problem(make_problem("sphere", 5, seed=0))
-        run(problem, c)
+        run(problem, config, seed, 400)
         alone += problem.points[:3]
     assert np.array_equal(starts[0], np.stack(alone))
     assert np.array_equal(starts[0], starts[1])

@@ -83,12 +83,11 @@ def test_explode_holds_at_most_three_spark_arrays():
 def test_a_run_holds_its_trace_in_56_bytes_a_row():
     # about 2000 rows: two uniform fireworks of ten sparks over 1000 generations
     problem = make_problem("sphere", 2, seed=0)
-    config = SwarmConfig(seed=0, budget=20_000)
-    uniform_fwa_run(problem, config)
+    uniform_fwa_run(problem, SwarmConfig(), seed=0, budget=20_000)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = uniform_fwa_run(problem, config)
+        result = uniform_fwa_run(problem, SwarmConfig(), seed=0, budget=20_000)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -105,9 +104,9 @@ def _trace_write_peak(tmp_path, monkeypatch, rows):
         for g in range(rows)
     ]
     result = RunResult(np.zeros(2), 0.0, 0, 0, Trace.of(trace))
-    monkeypatch.setattr(tfwa.harness, "random_search_cell", lambda problem, configs: [result])
+    monkeypatch.setattr(tfwa.harness, "random_search_cell", lambda *args: [result])
     (tmp_path / "traces").mkdir(exist_ok=True)
-    job = (("sphere", 2, 0), "random-search", [SwarmConfig()], str(tmp_path))
+    job = (("sphere", 2, 0), "random-search", SwarmConfig(), None, [0], str(tmp_path))
     _run_cells(job)
     return _traced_peak(lambda: _run_cells(job))
 
@@ -141,9 +140,9 @@ def _forced_degenerate(monkeypatch):
 def _cell_peak(cell, reps, generations):
     """Traced peak of an in-turn rastrigin d=100 cell of ``reps`` runs."""
     problem = make_problem("rastrigin", DIM, seed=0)
-    configs = [SwarmConfig(seed=s, budget=2 + generations * 2 * LAM) for s in range(reps)]
-    cell(problem, configs[:1])
-    return _traced_peak(lambda: cell(problem, configs))
+    budget = 2 + generations * 2 * LAM
+    cell(problem, SwarmConfig(), [0], budget)
+    return _traced_peak(lambda: cell(problem, SwarmConfig(), range(reps), budget))
 
 
 @pytest.mark.parametrize(
@@ -198,6 +197,6 @@ def test_a_pooled_generation_starts_with_the_last_ones_sparks_freed(monkeypatch,
     monkeypatch.setattr(swarm_mod, "THREAD_MIN_BURST_S", 0.0)
     monkeypatch.setattr(swarm_mod, "_cores", lambda: 2)
     problem = make_problem("rastrigin", 10, seed=0)
-    run_cell(problem, [SwarmConfig(seed=s, budget=2 + 12 * 2 * 50) for s in range(2)])
+    run_cell(problem, SwarmConfig(), range(2), 2 + 12 * 2 * 50)
     assert alive == [0] * 10, alive
     assert len(forced) >= (4 if degenerate else 0)
