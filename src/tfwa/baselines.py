@@ -124,12 +124,12 @@ def uniform_fwa_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
         fits = _evaluate_all(problem, sparks.reshape(-1, problem.dim)).reshape(len(fws), lam)
         picks = fits.argmin(axis=1)
         rows = np.arange(len(fws))
-        return zip(sparks[rows, picks], fits[rows, picks].tolist())
+        return zip(sparks[rows, picks], fits[rows, picks].tolist(), [False] * len(fws))
 
     def burst(fws):
         starts = range(0, len(fws), group)
         outcomes = [o for start in starts for o in best_sparks(fws[start : start + group])]
-        for fw, (x, gen_best) in zip(fws, outcomes):
+        for fw, (x, gen_best, _) in zip(fws, outcomes):
             fw.gen_improvement = fw.last_gen_best - gen_best
             # The firework only ever moves to an improving spark, so its
             # current fitness is also its all-time best.

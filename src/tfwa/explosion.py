@@ -37,7 +37,7 @@ class DegenerateStateError(RuntimeError):
     happens after the sparks were already evaluated, the evaluated positions
     and fitnesses ride along, sorted best first as :func:`explode` returns
     them, so the caller can keep its bookkeeping exact.  A swarm cell keeps
-    a new error with only the best spark and its fitness, since this one's
+    copies of the best spark and its fitness, not the error, since its
     traceback pins :func:`explode`'s frame and its spark-sized arrays.
     """
 
@@ -94,7 +94,7 @@ class StrategyParams:
     See :func:`derive_params`; ``mu`` counts the positive rank weights,
     which lead ``raw_weights``.  An instance holds no per-firework state, so
     one serves every firework of a run; the rates that depend on a
-    firework's state come from :func:`dynamic_rates`.
+    firework's state are computed in :func:`update`.
     """
 
     lam: int
@@ -107,24 +107,6 @@ class StrategyParams:
     c_1: float
     c_mu: float
     literal_psigma: bool = False
-
-
-def dynamic_rates(params: StrategyParams, scale, path_s, gen_count):
-    """Per-generation rates ``(c_cn, c_sn, h_gate, c_1a)`` of one firework.
-
-    ``c_cn`` and ``c_sn`` are the path learning rates divided by the step
-    size ``scale``.  ``h_gate`` is 1 unless the step-size path ``path_s`` is
-    too long for ``gen_count`` generations; at 0 the shape path stops
-    accumulating and ``c_1a``, the rank-one rate, makes up its lost variance.
-    """
-    c_cn = math.sqrt(params.c_c * (2.0 - params.c_c) * params.mu_eff) / scale
-    c_sn = math.sqrt(params.c_s * (2.0 - params.c_s) * params.mu_eff) / scale
-    norm2 = float(np.dot(path_s, path_s))
-    horizon = 1.0 - (1.0 - params.c_s) ** (2 * gen_count + 1)
-    bound = 2.0 + 4.0 / (params.dim + 1.0)
-    h_gate = int(norm2 / (params.dim * horizon) <= bound)
-    c_1a = params.c_1 * (1.0 - (1.0 - h_gate**2) * params.c_c * (2.0 - params.c_c))
-    return c_cn, c_sn, h_gate, c_1a
 
 
 def rank_weights(lam: int) -> np.ndarray:
@@ -264,76 +246,98 @@ def _evaluate_one(objective, x) -> float:
     return math.inf if f != f else f
 
 
+def update(state: FireworkState, params: StrategyParams, xs, s, fits) -> dict:
+    """The firework's new field values after one generation, as a dict.
+
+    ``xs`` are the sparks sorted best first, ``fits`` their fitnesses and
+    ``s`` the squared Mahalanobis distances of their draws, taken before
+    :func:`repair_bounds`: a repaired spark gets its natural-gradient weight
+    from where it was drawn, not from where it was evaluated.  The gate
+    ``h_gate`` reads the step-size path from before this generation with
+    exponent ``2 gen_count + 1``; Hansen's tutorial gates on the updated
+    path with ``2 (gen_count + 1)``.  Reads no generator and writes nothing;
+    a degenerate fusion or shape raises :class:`DegenerateStateError`.
+    """
+    d, mu, c_c, c_s = params.dim, params.mu, params.c_c, params.c_s
+    c_cn = math.sqrt(c_c * (2.0 - c_c) * params.mu_eff) / state.scale
+    c_sn = math.sqrt(c_s * (2.0 - c_s) * params.mu_eff) / state.scale
+    norm2 = float(np.dot(state.path_s, state.path_s))
+    horizon = 1.0 - (1.0 - c_s) ** (2 * state.gen_count + 1)
+    h_gate = int(norm2 / (d * horizon) <= 2.0 + 4.0 / (d + 1.0))
+    # the rank-one rate makes up the variance a closed gate keeps out of path_c
+    c_1a = params.c_1 * (1.0 - (1.0 - h_gate**2) * c_c * (2.0 - c_c))
+
+    # rank weights past the first mu are zero, so only the leading sparks
+    # enter the recombination
+    top = xs[:mu]
+    fused = fuse_weights(params.raw_weights[:mu], natgrad_weight(s[:mu], d, state.df))
+
+    mean = top.T @ fused
+    delta_m = mean - state.mean
+
+    dev = (top - state.mean) / state.scale
+    base = 1.0 - c_1a - params.c_mu * float(fused.sum())
+    shape = (
+        base * state.shape
+        + params.c_1 * np.outer(state.path_c, state.path_c)
+        + params.c_mu * (dev.T * fused) @ dev
+    )
+
+    path_c = (1.0 - c_c) * state.path_c + c_cn * h_gate * delta_m
+    # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
+    coef = state.eigvecs.T @ delta_m
+    axes = state.eigvals if params.literal_psigma else np.sqrt(state.eigvals)
+    back = state.eigvecs @ (coef / axes)
+    path_s = (1.0 - c_s) * state.path_s + c_sn * back
+
+    scale = state.scale * math.exp(min(1.0, 0.5 * c_s * (float(np.dot(path_s, path_s)) / d - 1.0)))
+
+    shape, eigvals, eigvecs = regularize_covariance(shape)
+    gen_best = float(fits[0])
+    return dict(
+        mean=mean,
+        shape=shape,
+        eigvals=eigvals,
+        eigvecs=eigvecs,
+        path_c=path_c,
+        path_s=path_s,
+        scale=scale,
+        df=adjust_degree_of_freedom(state.df, gen_best, state.last_gen_best, state.df_factor),
+        gen_improvement=state.last_gen_best - gen_best,
+        last_gen_best=gen_best,
+        best_fitness=min(state.best_fitness, gen_best),
+        gen_count=state.gen_count + 1,
+    )
+
+
 def explode(state: FireworkState, params: StrategyParams, objective, rng):
-    """Run one explosion generation, mutating ``state`` in place.
+    """Run one explosion generation: draw, evaluate, :func:`update`, and
+    write the new fields into ``state``.
 
     ``objective`` must expose ``lb``, ``ub`` and ``evaluate(x) -> float``
     (an ``evaluate_batch`` method is used when present).  Returns the pair
     ``(positions, fitnesses)`` of the evaluated sparks sorted best first,
-    a NaN fitness as ``+inf`` (:func:`_evaluate_all`).
-    State is only written once every quantity for the generation has been
-    computed, so a raised :class:`DegenerateStateError` leaves ``state``
-    untouched apart from carrying the evaluated sparks on the exception.
+    a NaN fitness as ``+inf`` (:func:`_evaluate_all`).  A raised
+    :class:`DegenerateStateError` leaves ``state`` untouched; once the sparks
+    were evaluated it carries them.
     """
-    lam, d, mu = params.lam, params.dim, params.mu
     if not (np.isfinite(state.scale) and state.scale > 0):
         raise DegenerateStateError(f"step size collapsed to {state.scale}")
-    c_cn, c_sn, h_gate, c_1a = dynamic_rates(params, state.scale, state.path_s, state.gen_count)
-    root = np.sqrt(state.eigvals)
 
     # mean + scale * draws, in place; repair_bounds returns a copy, so the
     # rebinding frees the draws before the sparks are evaluated
-    xs, s = t_draws(state.eigvecs * root, state.df, lam, rng)
+    xs, s = t_draws(state.eigvecs * np.sqrt(state.eigvals), state.df, params.lam, rng)
     xs *= state.scale
     xs += state.mean
     xs = repair_bounds(xs, objective.lb, objective.ub, rng)
     fits = _evaluate_all(objective, xs)
 
     order = np.argsort(fits, kind="stable")
-    xs, fits = xs[order], fits[order]
-    # any failure from here on carries the evaluated sparks
+    xs, s, fits = xs[order], s[order], fits[order]
     try:
-        # rank weights past the first mu are zero, so only the leading sparks
-        # enter the recombination
-        top = xs[:mu]
-        fused = fuse_weights(params.raw_weights[:mu], natgrad_weight(s[order[:mu]], d, state.df))
-
-        mean_new = top.T @ fused
-        delta_m = mean_new - state.mean
-
-        dev = (top - state.mean) / state.scale
-        base = 1.0 - c_1a - params.c_mu * float(fused.sum())
-        shape_new = (
-            base * state.shape
-            + params.c_1 * np.outer(state.path_c, state.path_c)
-            + params.c_mu * (dev.T * fused) @ dev
-        )
-
-        path_c_new = (1.0 - params.c_c) * state.path_c + c_cn * h_gate * delta_m
-        # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
-        coef = state.eigvecs.T @ delta_m
-        back = state.eigvecs @ (coef / (state.eigvals if params.literal_psigma else root))
-        path_s_new = (1.0 - params.c_s) * state.path_s + c_sn * back
-
-        scale_new = state.scale * math.exp(
-            min(1.0, 0.5 * params.c_s * (float(np.dot(path_s_new, path_s_new)) / d - 1.0))
-        )
-
-        shape_new, vals_new, vecs_new = regularize_covariance(shape_new)
+        fields = update(state, params, xs, s, fits)
     except DegenerateStateError as exc:
         exc.sparks, exc.fitnesses = xs, fits
         raise
-
-    gen_best = float(fits[0])
-    state.mean = mean_new
-    state.shape = shape_new
-    state.eigvals, state.eigvecs = vals_new, vecs_new
-    state.path_c = path_c_new
-    state.path_s = path_s_new
-    state.scale = scale_new
-    state.df = adjust_degree_of_freedom(state.df, gen_best, state.last_gen_best, state.df_factor)
-    state.gen_improvement = state.last_gen_best - gen_best
-    state.last_gen_best = gen_best
-    state.best_fitness = min(state.best_fitness, gen_best)
-    state.gen_count += 1
+    vars(state).update(fields)
     return xs, fits

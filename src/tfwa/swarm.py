@@ -353,17 +353,17 @@ def run_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
     _, lam, budget = resolve_run_shape(problem, config, budget)
     params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
 
-    # An outcome owns only what the driver reads: a view of the best spark
-    # would keep the whole (lam, d) spark array alive, and a raised error's
-    # traceback would keep explode's frame and its spark-sized locals
+    # An outcome owns only copies: a view of the best spark would keep the
+    # whole (lam, d) spark array alive, and a raised error's traceback would
+    # keep explode's frame and its spark-sized locals
     def attempt(fw):
         try:
             xs, fits = explode(fw, params, problem, fw.rng)
         except DegenerateStateError as exc:
             if exc.fitnesses is None:
-                return DegenerateStateError(str(exc))
-            return DegenerateStateError(str(exc), exc.sparks[:1].copy(), exc.fitnesses[:1].copy())
-        return xs[0].copy(), fits[0]
+                return None, None, True
+            return exc.sparks[0].copy(), exc.fitnesses[0], True
+        return xs[0].copy(), fits[0], False
 
     return _drive(
         problem,
@@ -478,17 +478,16 @@ def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
     own generator.  So one seed starts every algorithm's fireworks at the
     same means.  Every generation explodes the runs' fireworks with
     ``burst(fws)``, which takes a list of fireworks, from any runs, and
-    returns one outcome per firework in order: the generation's best spark,
-    as its own array, and its fitness, or a :class:`DegenerateStateError`
-    for a failed explosion; an error that carries evaluated sparks costs the
-    run ``lam`` evaluations and offers it only the best spark and its
-    fitness.  So no outcome keeps a generation's spark array alive into the
-    next generation, and a cell's memory does not grow with its runs.  A
-    burst updates each firework in place and draws only from that
-    firework's own generator.  A firework whose explosion failed is
-    replaced by ``fresh(fw)`` (a new firework, one evaluation); after a
-    complete generation the loser-out tournament replaces its losers the
-    same way.
+    returns one outcome per firework in order, the tuple ``(x, f, failed)``:
+    the generation's best spark, as its own array, and its fitness, both
+    ``None`` when nothing was evaluated, and whether the explosion failed.
+    An outcome with a spark costs the run ``lam`` evaluations.  So no outcome
+    keeps a generation's spark array alive into the next generation, and a
+    cell's memory does not grow with its runs.  A burst updates each
+    firework in place and draws only from that firework's own generator.  A
+    firework whose explosion failed is replaced by ``fresh(fw)`` (a new
+    firework, one evaluation); after a complete generation the loser-out
+    tournament replaces its losers the same way.
 
     BLAS: the whole cell, its starting evaluations included, runs under
     :func:`tfwa.blas.run_settings`, so OpenBLAS is held at one thread.
@@ -528,16 +527,12 @@ def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
 
     def settle(run, outcomes, g):
         run.restarted = set()
-        for i, outcome in enumerate(outcomes):
-            if isinstance(outcome, DegenerateStateError):
-                if outcome.fitnesses is not None:
-                    run.evals += lam
-                    run.track(outcome.fitnesses[0], outcome.sparks[0])
-                run.restart(i, fresh)
-            else:
+        for i, (x, f, failed) in enumerate(outcomes):
+            if x is not None:
                 run.evals += lam
-                x, f = outcome
                 run.track(f, x)
+            if failed:
+                run.restart(i, fresh)
 
         fireworks = run.fireworks
         if run.k == n:

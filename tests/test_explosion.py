@@ -1,11 +1,13 @@
 """Explosion generation, strategy constants, and state maintenance tests."""
 
+import inspect
 import math
-from dataclasses import FrozenInstanceError
+import pickle
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import tfwa.tdist
@@ -18,13 +20,13 @@ from tfwa.explosion import (
     _evaluate_one,
     adjust_degree_of_freedom,
     derive_params,
-    dynamic_rates,
     effective_mass,
     explode,
     fuse_weights,
     rank_weights,
     regularize_covariance,
     repair_bounds,
+    update,
 )
 from tfwa.natgrad import natgrad_weight
 
@@ -123,20 +125,49 @@ def test_strategy_params_frozen():
         p.c_c = 0.5
 
 
-def test_dynamic_rates_gate_open_at_start():
-    p = derive_params(10, 5)
-    c_cn, _, h_gate, c_1a = dynamic_rates(p, scale=2.0, path_s=np.zeros(5), gen_count=0)
-    assert h_gate == 1
-    assert c_1a == pytest.approx(p.c_1, abs=1e-15)
-    assert c_cn == pytest.approx(math.sqrt(p.c_c * (2 - p.c_c) * p.mu_eff) / 2.0, abs=1e-15)
+def _gate_state(path_c, path_s, gen_count):
+    """A d = 5 firework at the origin with unit scale and the given paths."""
+    return FireworkState(
+        mean=np.zeros(5),
+        shape=np.eye(5),
+        df=5.0,
+        df_factor=1.05,
+        path_c=np.asarray(path_c, dtype=float),
+        path_s=np.asarray(path_s, dtype=float),
+        scale=1.0,
+        last_gen_best=10.0,
+        best_fitness=10.0,
+        gen_count=gen_count,
+    )
 
 
-def test_dynamic_rates_gate_closes_on_long_path():
+def _gate_update(state, p):
+    rng = np.random.default_rng(14)
+    xs = rng.uniform(-1.0, 1.0, size=(p.lam, 5))
+    s = np.sort(rng.uniform(0.0, 10.0, size=p.lam))
+    return update(state, p, xs, s, np.arange(p.lam, dtype=float))
+
+
+def test_update_gate_open_at_start():
+    # from zero paths at the first generation the shape path takes the whole
+    # normalised mean shift
     p = derive_params(10, 5)
-    long_path = np.full(5, 10.0)
-    _, _, h_gate, c_1a = dynamic_rates(p, scale=1.0, path_s=long_path, gen_count=3)
-    assert h_gate == 0
-    assert c_1a < p.c_1
+    state = _gate_state(np.zeros(5), np.zeros(5), gen_count=0)
+    fields = _gate_update(state, p)
+    c_cn = math.sqrt(p.c_c * (2 - p.c_c) * p.mu_eff) / state.scale
+    assert np.array_equal(fields["path_c"], c_cn * (fields["mean"] - state.mean))
+    assert np.any(fields["path_c"] != 0)
+
+
+def test_update_gate_closes_on_long_path():
+    # a step-size path far longer than three generations can build closes the
+    # gate, and the shape path only decays
+    p = derive_params(10, 5)
+    path_c = np.linspace(-1.0, 1.0, 5)
+    state = _gate_state(path_c, np.full(5, 10.0), gen_count=3)
+    fields = _gate_update(state, p)
+    assert np.array_equal(fields["path_c"], (1.0 - p.c_c) * path_c)
+    assert np.any(fields["mean"] != state.mean)
 
 
 def test_adjust_df_growth_factor_dominates():
@@ -475,3 +506,193 @@ def test_cached_eigenpair_tracks_shape():
         assert np.linalg.norm(rebuilt - state.shape) <= 1e-10 * np.linalg.norm(state.shape)
     # the loop must have adapted C well away from the identity
     assert state.eigvals[-1] / state.eigvals[0] > 1e3
+
+
+def _reference_update(state, params, xs, s, fits):
+    """One generation's new fields, straight from the update equations.
+
+    A slow per-spark transcription with Python loops and no matrix products,
+    to check :func:`update` against.  For sparks x_i sorted best first with
+    draw distances s_i, m, sigma, C = B diag(lambda) B', p_c, p_s the
+    firework's mean, step size, shape, eigenpair and paths:
+
+    * rank weights w_i = max(ln(1/2 + lam/2) - ln(1 + i), 0) / sum, natural
+      weights v_i = (d + df + 2) / (df + s_i), fused f_i = w_i v_i / sum;
+    * m' = sum_i f_i x_i, and dm = m' - m;
+    * h = [|p_s|^2 / (d (1 - (1 - c_s)^(2g + 1))) <= 2 + 4/(d + 1)] with
+      g = gen_count, read from the step-size path *before* this generation,
+      as the code does; Hansen's tutorial (arXiv:1604.00772) gates on the
+      updated path with exponent 2(g + 1);
+    * c_1a = c_1 (1 - (1 - h^2) c_c (2 - c_c)), and with y_i = (x_i - m) /
+      sigma the shape C' = (1 - c_1a - c_mu sum_i f_i) C + c_1 p_c p_c' +
+      c_mu sum_i f_i y_i y_i', the rank-one term from the path before this
+      generation as the code has it (the tutorial uses the updated one);
+    * p_c' = (1 - c_c) p_c + h sqrt(c_c (2 - c_c) mu_eff) dm / sigma;
+    * p_s' = (1 - c_s) p_s + sqrt(c_s (2 - c_s) mu_eff) C^(-1/2) dm / sigma,
+      where C^(-1/2) = B diag(lambda^(-1/2)) B', or C^(-1) with
+      ``literal_psigma``;
+    * sigma' = sigma exp(min(1, c_s / 2 (|p_s'|^2 / d - 1)));
+    * df' = min(max(df factor, df + 1), DF_CAP) when fits[0] improves on the
+      last generation's best, else df.
+
+    :func:`regularize_covariance`'s eigenvalue floor is left out: it has its
+    own tests, and C' >= (1 - c_1a - c_mu) C keeps the drawn shapes far above it.
+    """
+    lam, d = len(xs), params.dim
+    c_c, c_s, c_1, c_mu, mu_eff = params.c_c, params.c_s, params.c_1, params.c_mu, params.mu_eff
+    m, sigma, df = [float(v) for v in state.mean], state.scale, state.df
+
+    rank = [max(math.log(0.5 + 0.5 * lam) - math.log(1.0 + i), 0.0) for i in range(lam)]
+    rank = [w / sum(rank) for w in rank]
+    natural = [(d + df + 2.0) / (df + float(s[i])) for i in range(lam)]
+    fused = [rank[i] * natural[i] for i in range(lam)]
+    fused = [f / sum(fused) for f in fused]
+
+    mean = [sum(fused[i] * float(xs[i][k]) for i in range(lam)) for k in range(d)]
+    dm = [mean[k] - m[k] for k in range(d)]
+
+    norm2 = sum(float(v) ** 2 for v in state.path_s)
+    bound = 2.0 + 4.0 / (d + 1)
+    gate_stat = norm2 / (d * (1.0 - (1.0 - c_s) ** (2 * state.gen_count + 1)))
+    gate = int(gate_stat <= bound)
+    c_1a = c_1 * (1.0 - (1.0 - gate**2) * c_c * (2.0 - c_c))
+
+    p_c = [float(v) for v in state.path_c]
+    ys = [[(float(xs[i][k]) - m[k]) / sigma for k in range(d)] for i in range(lam)]
+    base = 1.0 - c_1a - c_mu * sum(fused)
+    shape = [
+        [
+            base * float(state.shape[j][k])
+            + c_1 * p_c[j] * p_c[k]
+            + c_mu * sum(fused[i] * ys[i][j] * ys[i][k] for i in range(lam))
+            for k in range(d)
+        ]
+        for j in range(d)
+    ]
+
+    c_cn = gate * math.sqrt(c_c * (2.0 - c_c) * mu_eff) / sigma
+    path_c = [(1.0 - c_c) * p_c[k] + c_cn * dm[k] for k in range(d)]
+    b, lams = state.eigvecs, state.eigvals
+    power = 1.0 if params.literal_psigma else 0.5
+    coef = [sum(b[j][n] * dm[j] for j in range(d)) / lams[n] ** power for n in range(d)]
+    white = [sum(b[k][n] * coef[n] for n in range(d)) for k in range(d)]
+    c_sn = math.sqrt(c_s * (2.0 - c_s) * mu_eff) / sigma
+    path_s = [(1.0 - c_s) * float(state.path_s[k]) + c_sn * white[k] for k in range(d)]
+    scale = sigma * math.exp(min(1.0, 0.5 * c_s * (sum(v * v for v in path_s) / d - 1.0)))
+
+    best = float(fits[0])
+    if best < state.last_gen_best:
+        df = min(max(df * state.df_factor, df + 1.0), DF_CAP)
+    return dict(
+        mean=np.array(mean),
+        shape=shape,
+        path_c=np.array(path_c),
+        path_s=np.array(path_s),
+        scale=scale,
+        df=df,
+        gen_improvement=state.last_gen_best - best,
+        last_gen_best=best,
+        best_fitness=min(state.best_fitness, best),
+        gen_count=state.gen_count + 1,
+        gate_margin=gate_stat / bound - 1.0,
+    )
+
+
+@hst.composite
+def _generations(draw):
+    """A firework, its strategy constants and one generation's sorted sparks,
+    distances and fitnesses.
+
+    The sparks lie anywhere in a box, the mean too, so the mean shift is of
+    the box's size; the scale spans several decades below and above it.
+    """
+    d = draw(hst.integers(2, 12))
+    lam = draw(hst.integers(2, 3 * d))
+    params = derive_params(lam, d, literal_psigma=draw(hst.booleans()))
+    df = draw(hst.one_of(hst.floats(math.log10(2.5), 6.0).map(lambda e: 10.0**e), hst.just(DF_CAP)))
+    # small factors let the df + 1 floor win
+    df_factor = 1.0 + 10.0 ** draw(hst.floats(-3.0, 1.0))
+    width = 10.0 ** draw(hst.floats(-3.0, 3.0))
+    lb = draw(hst.floats(-2.0, 1.0)) * width
+    scale = width * 10.0 ** draw(hst.floats(-4.0, 2.0))
+    gen_count = draw(hst.integers(0, 50))
+    # the step-size path's gate statistic lies within a decade of its bound
+    # either way, so half the paths are long enough to close the gate
+    gate_ratio = 10.0 ** draw(hst.floats(-1.0, 1.0))
+    n_inf = draw(hst.integers(0, lam))
+    last = draw(hst.one_of(hst.floats(-1e3, 1e3), hst.just(math.inf)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    shape = (q * 10.0 ** rng.uniform(-3.0, 3.0, size=d)) @ q.T
+    horizon = 1.0 - (1.0 - params.c_s) ** (2 * gen_count + 1)
+    path_s = rng.standard_normal(d)
+    path_s *= math.sqrt(gate_ratio * (2.0 + 4.0 / (d + 1)) * d * horizon) / np.linalg.norm(path_s)
+    state = FireworkState(
+        mean=rng.uniform(lb, lb + width, size=d),
+        shape=0.5 * (shape + shape.T),
+        df=df,
+        df_factor=df_factor,
+        path_c=rng.uniform(-3.0, 3.0, size=d),
+        path_s=path_s,
+        scale=scale,
+        last_gen_best=last,
+        best_fitness=min(last, float(rng.uniform(-1e3, 1e3))),
+        gen_count=gen_count,
+    )
+    xs = rng.uniform(lb, lb + width, size=(lam, d))
+    s = rng.uniform(0.0, 10.0 * d, size=lam)
+    fits = np.sort(rng.uniform(-1e3, 1e3, size=lam))
+    fits[lam - n_inf :] = math.inf
+    return state, params, xs, s, fits
+
+
+def _assert_close(got, ref, what):
+    err = np.linalg.norm(np.asarray(got) - np.asarray(ref))
+    assert err <= 1e-12 * np.linalg.norm(ref), f"{what}: error {err:.3g} against {ref}"
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+@given(case=_generations())
+@settings(max_examples=300, deadline=None)
+def test_update_matches_its_equations(case):
+    state, params, xs, s, fits = case
+    ref = _reference_update(state, params, xs, s, fits)
+    assume(abs(ref["gate_margin"]) > 1e-9)
+    got = update(state, params, xs, s, fits)
+    for name in ("mean", "path_c", "path_s", "scale", "shape"):
+        _assert_close(got[name], ref[name], name)
+    for name in ("df", "gen_improvement", "last_gen_best", "best_fitness", "gen_count"):
+        assert _same(got[name], ref[name]), (name, got[name], ref[name])
+    _assert_pair_rebuilds(got["shape"], got["eigvals"], got["eigvecs"])
+
+
+def _field_bytes(state):
+    return {f.name: pickle.dumps(getattr(state, f.name)) for f in fields(state)}
+
+
+@pytest.mark.parametrize("fault", [None, "non-finite shape", "degenerate weights"])
+def test_update_is_pure(fault):
+    # update reads the firework and writes nothing, its generator included,
+    # whether it returns or raises
+    rng = np.random.default_rng(15)
+    state = _fresh_state(4, scale=2.0, f0=3.0)
+    state.rng = np.random.default_rng(16)
+    params = derive_params(8, 4)
+    xs = rng.uniform(-1.0, 1.0, size=(8, 4))
+    s = np.sort(rng.uniform(0.0, 8.0, size=8))
+    if fault == "non-finite shape":
+        state.path_c = np.full(4, 1e200)  # its outer product overflows
+    elif fault == "degenerate weights":
+        s = np.full(8, math.inf)  # every natural weight is zero
+    before = _field_bytes(state)
+    if fault is None:
+        update(state, params, xs, s, np.arange(8.0))
+    else:
+        with pytest.raises(DegenerateStateError), np.errstate(over="ignore"):
+            update(state, params, xs, s, np.arange(8.0))
+    assert _field_bytes(state) == before
+    assert list(inspect.signature(update).parameters) == ["state", "params", "xs", "s", "fits"]
