@@ -118,7 +118,8 @@ def rank_weights(lam: int) -> np.ndarray:
     """
     if lam < 2:
         raise ValueError(f"need at least two sparks, got lam={lam}")
-    w = np.maximum(math.log(0.5 + 0.5 * lam) - np.log1p(np.arange(lam)), 0.0)
+    # math.log1p, since np.log1p gives other last bits under AVX-512 dispatch
+    w = np.maximum(math.log(0.5 + 0.5 * lam) - np.array([math.log1p(i) for i in range(lam)]), 0.0)
     return w / w.sum()
 
 

@@ -1,9 +1,14 @@
 """Explosion generation, strategy constants, and state maintenance tests."""
 
+import hashlib
 import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,48 @@ def test_rank_weights_simplex(lam):
     assert np.all(np.diff(w) <= 1e-15)
     assert math.isclose(float(np.sum(w)), 1.0, abs_tol=1e-12)
     assert w[0] > 0
+
+
+def _rank_weights_reference(lam):
+    w = np.array([max(math.log(0.5 + 0.5 * lam) - math.log1p(i), 0.0) for i in range(lam)])
+    return w / w.sum()
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_rank_weights_match_math_log1p_bit_for_bit():
+    for lam in range(2, 301):
+        assert rank_weights(lam).tobytes() == _rank_weights_reference(lam).tobytes(), lam
+
+
+_RANK_WEIGHTS_DIGEST = """
+import hashlib
+from tfwa.explosion import rank_weights
+arrays = [rank_weights(lam) for lam in range(2, 301)]
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_rank_weights_do_not_depend_on_simd_dispatch():
+    # without AVX-512 numpy dispatches its transcendental loops elsewhere;
+    # np.log1p gave other last bits there, math.log1p does not
+    src = str(Path(tfwa.tdist.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANK_WEIGHTS_DIGEST],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    reference = _digest(_rank_weights_reference(lam) for lam in range(2, 301))
+    assert proc.stdout.strip() == reference
 
 
 def test_effective_mass_equal_weights():
