@@ -5,10 +5,10 @@ multivariate t distribution: natural-gradient update weights fuse with rank
 weights for the recombination, the degrees of freedom grow on improvement so
 sampling anneals from heavy tails toward a Gaussian, and a loser-out
 tournament restarts fireworks that cannot catch up.  Shifted/rotated test
-functions and reference baselines round out the package; the benchmark
-harness (grids, rank-sum statistics, the ``tfwa-bench`` CLI) lives in
-``tfwa.harness``, which this module does not import, so ``python -m
-tfwa.harness`` runs it only once.
+functions and reference baselines round out the package.  The benchmark
+harness (grids and the ``tfwa-bench`` CLI) lives in ``tfwa.harness`` and the
+rank statistics its ``compare`` and ``rank`` print in ``tfwa.stats``; this
+module imports neither, so ``python -m tfwa.harness`` runs it only once.
 """
 
 from .baselines import random_search_cell, random_search_run, uniform_fwa_cell, uniform_fwa_run

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment runner, result files, statistics, CLI.
+"""Benchmark harness: experiment runner, result files, CLI.
 
 The ``run`` subcommand executes a suite x dims x algos grid of repeated
 seeded runs and writes four artifacts into the output directory:
@@ -22,13 +22,14 @@ taking the next job in grid order under one lock until none is left: its own
 between its runs, and each pool worker's as that worker's previous job ends.
 When there are fewer cells than workers, each cell's seeds are split into
 ``ceil(workers / cells)`` contiguous chunks, so that no worker sits idle;
-the rows are reassembled in grid order.  Only each run's four numbers come
-back from a job, so the calling process holds rows, not traces, and writes
-the three grid files once every job has ended.
+the rows are reassembled in grid order.  A job returns its runs' finished
+``results.csv`` rows and no trace, so the calling process joins the jobs'
+rows in job order and writes the three grid files once every job has ended.
 
 ``compare`` and ``rank`` read results files as one sample per algorithm per
 file: ``compare`` applies the rank-sum test per function to exactly two
 samples; ``rank`` averages per-function ranks of each algorithm's mean gaps.
+Both take their statistics from :mod:`tfwa.stats`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import json
 import math
 import sys
 import threading
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -50,6 +50,7 @@ import numpy as np
 
 from .baselines import random_search_cell, uniform_fwa_cell
 from .benchfns import PROBLEM_NAMES, make_problem
+from .stats import _rank_sum_verdicts, _tally, average_rank
 from .swarm import (
     SwarmConfig,
     _chunks,
@@ -89,154 +90,6 @@ RESULT_FIELDS = (
 
 
 # ---------------------------------------------------------------------------
-# statistics
-
-
-def _average_ranks(values):
-    """Ranks 1..n of ``values`` (ascending), ties sharing the average rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _rank_sum_counts(n, total):
-    # counts[w] = number of n-subsets of {1..total} with rank sum w
-    max_w = sum(range(total - n + 1, total + 1))
-    table = [[0] * (max_w + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for r in range(1, total + 1):
-        for k in range(min(r, n), 0, -1):
-            row, prev = table[k], table[k - 1]
-            for w in range(max_w, r - 1, -1):
-                if prev[w - r]:
-                    row[w] += prev[w - r]
-    return table[n]
-
-
-def _exact_two_sided(u_obs, n, m):
-    counts = _rank_sum_counts(n, n + m)
-    offset = n * (n + 1) // 2
-    u_counts = counts[offset:]
-    total = sum(u_counts)
-    cdf = sum(u_counts[: u_obs + 1])
-    sf = sum(u_counts[u_obs:])
-    return min(1.0, 2.0 * min(cdf, sf) / total)
-
-
-def wilcoxon_rank_sum(a, b, method="auto"):
-    """Two-sided rank-sum test; returns ``(u_statistic, p_value)``.
-
-    The statistic is the Mann-Whitney U of the first sample.  With 12 or
-    fewer pooled observations and no ties the p-value comes from the exact
-    null distribution; otherwise from the normal approximation with tie and
-    continuity corrections.  Two all-identical samples give p = 1.  Needs
-    at least three observations per sample.  ``method`` forces a branch:
-    "exact" (rejected when ties are present), "normal", or "auto".
-    """
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown method {method!r}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, m = len(a), len(b)
-    if n < 3 or m < 3:
-        raise ValueError("need at least three observations per sample")
-    pooled = np.concatenate([a, b])
-    ranks = _average_ranks(pooled)
-    u_a = float(ranks[:n].sum()) - n * (n + 1) / 2.0
-    tie_sizes = np.unique(pooled, return_counts=True)[1]
-    if method == "exact" and np.any(tie_sizes > 1):
-        raise ValueError("exact method requires tie-free samples")
-    exact_ok = not np.any(tie_sizes > 1) and (method == "exact" or n + m <= 12)
-    if method != "normal" and exact_ok:
-        return u_a, _exact_two_sided(int(round(u_a)), n, m)
-    total = n + m
-    mean_u = n * m / 2.0
-    tie_term = float(np.sum(tie_sizes**3 - tie_sizes)) / (total * (total - 1.0))
-    var_u = n * m / 12.0 * ((total + 1.0) - tie_term)
-    if var_u <= 0:
-        return u_a, 1.0
-    z = max(abs(u_a - mean_u) - 0.5, 0.0) / math.sqrt(var_u)
-    return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
-
-
-@dataclass(frozen=True)
-class ComparisonCell:
-    win: int
-    lose: int
-    tie: int
-    alpha: float = 0.05
-
-
-def _rank_sum_verdicts(results_a, results_b, alpha):
-    """``{function: (u, p, verdict)}`` in sorted function order.
-
-    The verdict is "tie" when the rank-sum test is not significant at
-    ``alpha`` or the means coincide; otherwise "a" or "b", the side with
-    the lower mean.
-    """
-    if set(results_a) != set(results_b):
-        raise ValueError("the two result sets cover different functions")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    verdicts = {}
-    for key in sorted(results_a):
-        u, p = wilcoxon_rank_sum(results_a[key], results_b[key])
-        mean_a = float(np.mean(results_a[key]))
-        mean_b = float(np.mean(results_b[key]))
-        if p >= alpha or mean_a == mean_b:
-            verdicts[key] = (u, p, "tie")
-        else:
-            verdicts[key] = (u, p, "a" if mean_a < mean_b else "b")
-    return verdicts
-
-
-def _tally(verdicts, alpha) -> ComparisonCell:
-    counts = Counter(verdict for _, _, verdict in verdicts.values())
-    return ComparisonCell(win=counts["a"], lose=counts["b"], tie=counts["tie"], alpha=alpha)
-
-
-def win_lose_tie(results_a, results_b, alpha=0.05) -> ComparisonCell:
-    """Per-function rank-sum comparison aggregated into win/lose/tie counts.
-
-    ``results_a`` and ``results_b`` map function names to per-run samples
-    and must cover the same functions.  A function is a tie when the test
-    is not significant at ``alpha`` (or the means coincide); otherwise the
-    side with the lower mean wins.
-    """
-    return _tally(_rank_sum_verdicts(results_a, results_b, alpha), alpha)
-
-
-def average_rank(table):
-    """Average rank per algorithm over a function -> {algo: mean gap} table.
-
-    Lower gaps rank better (rank 1 is best); ties share the average rank.
-    Every function row must cover the same algorithms, at least two.
-    """
-    if not table:
-        raise ValueError("empty table")
-    algos = sorted(next(iter(table.values())))
-    if len(algos) < 2:
-        raise ValueError("need at least two algorithms to rank")
-    totals = dict.fromkeys(algos, 0.0)
-    for func in sorted(table):
-        row = table[func]
-        if sorted(row) != algos:
-            raise ValueError(f"function {func!r} does not cover all algorithms")
-        ranks = _average_ranks([row[a] for a in algos])
-        for a, r in zip(algos, ranks):
-            totals[a] += float(r)
-    return {a: totals[a] / len(table) for a in algos}
-
-
-# ---------------------------------------------------------------------------
 # experiment runner
 
 
@@ -262,8 +115,8 @@ class ExperimentConfig:
 
 
 def _run_cells(job):
-    """Run one job, a contiguous chunk of one cell's repetitions; returns one
-    ``(best_gap, evals, generations, restarts)`` per run.
+    """Run one job, a contiguous chunk of one cell's repetitions; returns each
+    run's ``results.csv`` row, a dict in ``RESULT_FIELDS`` order.
 
     When the job's ``out_dir`` is not ``None``, each run's trace is written
     to ``out_dir/traces/`` here, in the process that ran it, as soon as the
@@ -273,24 +126,21 @@ def _run_cells(job):
     block of rows at a time, so no trace file's text is ever held whole.
     """
     problem_args, algo, swarm, budget, seeds, out_dir = job
+    name, dim, base_seed = problem_args
     problem = make_problem(*problem_args)
     runner, overrides = _RUNNERS[algo]
     results = globals()[runner](problem, replace(swarm, **overrides), seeds, budget)
-    if out_dir is not None:
-        name, dim, base_seed = problem_args
-        for seed, result in zip(seeds, results):
-            path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{seed - base_seed}.jsonl")
+    rows = []
+    for seed, result in zip(seeds, results):
+        rep = seed - base_seed
+        if out_dir is not None:
+            path = Path(out_dir, "traces", f"{name}_d{dim}_{algo}_rep{rep}.jsonl")
             with open(path, "w") as fh:
                 result.trace.write(fh)
-    return [
-        (
-            result.best_fitness - problem.f_star,
-            result.evals_used,
-            result.generations,
-            result.restarts,
-        )
-        for result in results
-    ]
+        gap = result.best_fitness - problem.f_star
+        numbers = (gap, result.evals_used, result.generations, result.restarts)
+        rows.append(dict(zip(RESULT_FIELDS, (name, dim, algo, rep, seed, *numbers))))
+    return rows
 
 
 def validate_experiment(config: ExperimentConfig):
@@ -442,23 +292,7 @@ def run_experiment(config: ExperimentConfig):
         for index, future in submitted:
             outcomes[index] = future.result()
 
-    rows = []
-    for index, ((name, dim, _), algo, _, _, chunk, _) in enumerate(jobs):
-        for seed, (best_gap, evals, generations, restarts) in zip(chunk, outcomes[index]):
-            rows.append(
-                {
-                    "problem": name,
-                    "dim": dim,
-                    "algo": algo,
-                    "rep": seed - config.base_seed,
-                    "seed": seed,
-                    "best_gap": best_gap,
-                    "evals": evals,
-                    "generations": generations,
-                    "restarts": restarts,
-                }
-            )
-
+    rows = [row for index in range(len(jobs)) for row in outcomes[index]]
     summary = _summarise(rows)
     if config.out_dir is not None:
         _write_outputs(config, rows, summary)

@@ -20,13 +20,7 @@ from scipy import stats
 from algorithms import ALGORITHMS, cell_of, run_of
 from tfwa.benchfns import make_problem
 from tfwa.explosion import adjust_degree_of_freedom
-from tfwa.harness import (
-    ExperimentConfig,
-    load_experiment,
-    run_experiment,
-    wilcoxon_rank_sum,
-    win_lose_tie,
-)
+from tfwa.harness import ExperimentConfig, load_experiment, run_experiment
 from tfwa.natgrad import (
     fisher_closed_form,
     fisher_monte_carlo,
@@ -34,6 +28,7 @@ from tfwa.natgrad import (
     moment_identity_residuals,
     natgrad_weight,
 )
+from tfwa.stats import wilcoxon_rank_sum, win_lose_tie
 from tfwa.swarm import SwarmConfig
 from tfwa.tdist import DF_CAP, TDistribution
 

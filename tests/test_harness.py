@@ -423,8 +423,8 @@ def test_run_experiment_resolves_runner_at_call_time(monkeypatch):
 @pytest.mark.parametrize("traced", [True, False], ids=["out-dir", "no-out-dir"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, algo, traced):
-    # a job returns four numbers per run, and its runs' traces are on disk
-    # by the time it returns
+    # a job returns each run's finished results.csv row, and its runs'
+    # traces are on disk by the time it returns
     runner, _ = tfwa.harness._RUNNERS[algo]
     real, results = getattr(tfwa.harness, runner), []
 
@@ -440,11 +440,22 @@ def test_run_cells_writes_each_trace_and_returns_numbers(tmp_path, monkeypatch, 
 
     f_star = make_problem("sphere", 2, 3).f_star
     assert outcomes == [
-        (r.best_fitness - f_star, r.evals_used, r.generations, r.restarts) for r in results
+        {
+            "problem": "sphere",
+            "dim": 2,
+            "algo": algo,
+            "rep": rep,
+            "seed": seed,
+            "best_gap": r.best_fitness - f_star,
+            "evals": r.evals_used,
+            "generations": r.generations,
+            "restarts": r.restarts,
+        }
+        for rep, seed, r in zip((1, 2), (4, 5), results)
     ]
-    for outcome in outcomes:
-        assert len(outcome) == 4
-        assert all(isinstance(value, numbers.Real) for value in outcome)
+    for row in outcomes:
+        assert tuple(row) == RESULT_FIELDS
+        assert all(isinstance(row[key], numbers.Real) for key in RESULT_FIELDS[5:])
     written = {p.name: p.read_text() for p in (tmp_path / "traces").iterdir()}
     if traced:
         assert written == {
@@ -1290,7 +1301,7 @@ import sys
 import numpy as np
 
 import tfwa
-from tfwa import harness, natgrad
+from tfwa import harness, natgrad, stats
 from tfwa.tdist import TDistribution
 
 out = sys.argv[1]
@@ -1299,8 +1310,8 @@ assert harness.main([
     "--reps", "3", "--budget-mult", "200", "--seed", "0", "--workers", "2", "--out", out,
 ]) == 0
 assert harness.main(["rank", "--inputs", out + "/results.csv"]) == 0
-for method in ("exact", "normal"):
-    harness.wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], method=method)
+stats._exact_two_sided(0, 3, 3)
+stats._normal_two_sided(0.0, 3, 3, np.ones(6, dtype=int))
 
 rng = np.random.default_rng(0)
 dist = TDistribution([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]], 6.0)

@@ -2,7 +2,8 @@
 
 The exact branch is checked against a brute-force oracle that enumerates
 every rank assignment with itertools, a fully independent route from the
-implementation's counting recurrence.
+implementation's counting recurrence.  Both branches, the ranks and the
+average ranks are also checked against scipy.stats, a test-only dependency.
 """
 
 import math
@@ -10,10 +11,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from scipy.stats import mannwhitneyu, rankdata
 
-from tfwa.harness import ComparisonCell, average_rank, wilcoxon_rank_sum, win_lose_tie
+from tfwa.stats import (
+    ComparisonCell,
+    _average_ranks,
+    _exact_two_sided,
+    _normal_two_sided,
+    average_rank,
+    wilcoxon_rank_sum,
+    win_lose_tie,
+)
 
 
 def brute_force_p(a, b):
@@ -51,16 +61,6 @@ def test_small_samples_rejected():
         wilcoxon_rank_sum([1.0, 2.0], [3.0, 4.0, 5.0])
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], method="bootstrap")
-
-
-def test_exact_method_rejects_ties():
-    with pytest.raises(ValueError):
-        wilcoxon_rank_sum([1.0, 2.0, 2.0], [2.0, 3.0, 4.0], method="exact")
-
-
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 5), (6, 6), (3, 8)])
 def test_exact_branch_matches_enumeration(n, m):
     # every way to interleave the two samples, realised as rank data
@@ -86,11 +86,12 @@ def test_crossover_branch_agreement():
     # largest pooled size the exact branch handles
     rng = np.random.default_rng(11)
     worst = 0.0
+    no_ties = np.ones(12, dtype=int)
     for _ in range(200):
         pooled = rng.permutation(np.arange(1.0, 13.0))
-        a, b = pooled[:6], pooled[6:]
-        _, p_exact = wilcoxon_rank_sum(a, b, method="exact")
-        _, p_normal = wilcoxon_rank_sum(a, b, method="normal")
+        u, _ = wilcoxon_rank_sum(pooled[:6], pooled[6:])
+        p_exact = _exact_two_sided(int(u), 6, 6)
+        p_normal = _normal_two_sided(u, 6, 6, no_ties)
         worst = max(worst, abs(p_exact - p_normal))
     assert worst <= 0.02
 
@@ -101,6 +102,60 @@ def test_normal_branch_handles_heavy_ties():
     u, p = wilcoxon_rank_sum(a, b)
     assert 0.0 < p <= 1.0
     assert u + wilcoxon_rank_sum(b, a)[0] == len(a) * len(b)
+
+
+def _tied_samples(top):
+    side = hst.lists(hst.integers(min_value=0, max_value=top), min_size=3, max_size=25)
+    return hst.tuples(side, side)
+
+
+@given(hst.integers(min_value=1, max_value=40).flatmap(_tied_samples))
+@example(([0, 5, 9, 12], [1, 2, 30]))  # tie-free: the exact branch
+@example(([3, 3, 3], [3, 3, 3, 3]))  # one value: zero variance
+@settings(max_examples=300, deadline=None)
+def test_matches_scipy_mannwhitneyu(samples):
+    # heavily tied integer samples: the normal branch's tie correction is
+    # pinned, and the exact branch is reached whenever it should be
+    a, b = ([float(v) for v in side] for side in samples)
+    exact = len(a) + len(b) <= 12 and len(set(a + b)) == len(a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = mannwhitneyu(
+            a,
+            b,
+            alternative="two-sided",
+            use_continuity=True,
+            method="exact" if exact else "asymptotic",
+        )
+    u, p = wilcoxon_rank_sum(a, b)
+    assert u == ref.statistic
+    assert abs(p - ref.pvalue) <= 1e-12
+
+
+_TIED_FLOATS = hst.one_of(
+    hst.sampled_from([-math.inf, -1.5, 0.0, 2.0, math.inf]), hst.floats(allow_nan=False)
+)
+
+
+@given(hst.lists(_TIED_FLOATS, min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_scipy_rankdata(values):
+    np.testing.assert_array_equal(_average_ranks(values), rankdata(values, method="average"))
+
+
+@given(
+    hst.integers(min_value=2, max_value=5).flatmap(
+        lambda k: hst.lists(
+            hst.lists(_TIED_FLOATS, min_size=k, max_size=k), min_size=1, max_size=8
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_average_rank_matches_per_function_rankdata(rows):
+    algos = [f"algo{i}" for i in range(len(rows[0]))]
+    table = {f"f{j}": dict(zip(algos, row)) for j, row in enumerate(rows)}
+    per_function = np.array([rankdata(row, method="average") for row in rows])
+    expected = dict(zip(algos, per_function.mean(axis=0)))
+    assert average_rank(table) == expected
 
 
 @given(
