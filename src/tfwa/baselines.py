@@ -17,9 +17,10 @@ means; random search keeps its own loop and BLAS pin, but keeps its
 best-so-far point, trace rows and result in the driver's run record
 (``tfwa.swarm._Run``), so a trace row means the same for every
 algorithm.  Every runner needs only ``lb``, ``ub``, ``dim`` and ``evaluate``
-from the objective, and uses ``evaluate_batch`` when it has one.  The
-Gaussian limit needs no code here: it is the swarm run with ``df_init`` at
-``DF_CAP``, a row of the harness's algorithm table.
+from the objective, and calls it only through ``explosion._evaluate_all``,
+which uses ``evaluate_batch`` when it has one; a firework's start is a
+one-row batch.  The Gaussian limit needs no code here: it is the swarm run
+with ``df_init`` at ``DF_CAP``, a row of the harness's algorithm table.
 """
 
 from __future__ import annotations

@@ -232,19 +232,14 @@ def regularize_covariance(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _evaluate_all(objective, xs):
     """Fitnesses of the rows of ``xs`` as a new array, a NaN counting as
-    ``+inf``, the worst value, so that it cannot hide finite values."""
+    ``+inf``, the worst value, so that it cannot hide finite values.  A run
+    calls its objective only here, a firework's start as a one-row batch."""
     batch = getattr(objective, "evaluate_batch", None)
     if batch is not None:
         fits = np.asarray(batch(xs), dtype=float)
     else:
         fits = np.array([float(objective.evaluate(x)) for x in xs])
     return np.fmin(fits, np.inf)  # fmin takes the non-NaN operand
-
-
-def _evaluate_one(objective, x) -> float:
-    """Fitness of the point ``x``, a NaN counting as ``+inf`` as above."""
-    f = float(objective.evaluate(x))
-    return math.inf if f != f else f
 
 
 def update(state: FireworkState, params: StrategyParams, xs, s, fits) -> dict:

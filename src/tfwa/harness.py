@@ -481,7 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

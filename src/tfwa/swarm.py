@@ -40,7 +40,7 @@ from . import blas
 from .explosion import (
     DegenerateStateError,
     FireworkState,
-    _evaluate_one,
+    _evaluate_all,
     derive_params,
     explode,
 )
@@ -282,7 +282,7 @@ def _fresh_firework(cls, problem, rng, **fields):
     """
     quarter = (problem.ub - problem.lb) / 4.0
     mean = rng.uniform(problem.lb + quarter, problem.ub - quarter, size=problem.dim)
-    f0 = _evaluate_one(problem, mean)
+    f0 = float(_evaluate_all(problem, mean[None])[0])
     return cls(
         mean=mean,
         last_gen_best=f0,

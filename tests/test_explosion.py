@@ -22,7 +22,6 @@ from tfwa.explosion import (
     DegenerateStateError,
     FireworkState,
     _evaluate_all,
-    _evaluate_one,
     adjust_degree_of_freedom,
     derive_params,
     effective_mass,
@@ -375,11 +374,12 @@ def test_evaluate_all_counts_nan_as_inf_and_keeps_other_bits(batched):
     assert np.isnan(objective.values[[1, 7]]).all()
 
 
-def test_evaluate_one_counts_nan_as_inf_and_keeps_other_bits():
-    objective = _CachedObjective(_FITS, batched=True)
-    objective.evaluate_batch = None  # a single point goes through evaluate
-    got = [_evaluate_one(objective, np.array([float(i)])) for i in range(len(_FITS))]
-    assert all(type(f) is float for f in got)
+def test_evaluate_all_one_row_counts_nan_as_inf_and_keeps_other_bits():
+    # a firework's start is a one-row batch, here on an objective with only evaluate
+    objective = _CachedObjective(_FITS, batched=False)
+    rows = [_evaluate_all(objective, np.array([[float(i)]])) for i in range(len(_FITS))]
+    assert all(r.shape == (1,) and r.dtype == np.float64 for r in rows)
+    got = [float(r[0]) for r in rows]
     expected = [math.inf if f != f else f for f in _FITS]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
     assert np.isnan(objective.values[[1, 7]]).all()

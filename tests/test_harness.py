@@ -1186,6 +1186,19 @@ def test_cli_compare_missing_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["compare", "rank"])
+def test_cli_rejects_a_field_the_csv_module_refuses(tmp_path, capsys, command):
+    # a field beyond the csv module's limit of 131072 characters
+    path_a = _make_results(tmp_path, "only", "tfwa")
+    path_b = tmp_path / "huge.csv"
+    path_b.write_text("problem,dim,algo,best_gap\nsphere,2,tfwa," + "1" * 200_000 + "\n")
+    code = main([command, "--inputs", str(path_a), str(path_b)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "inputs, held",
     [

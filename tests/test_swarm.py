@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tfwa.swarm as swarm_mod
-from tfwa.benchfns import make_problem
+from tfwa.benchfns import PROBLEM_NAMES, make_problem
 from tfwa.explosion import DegenerateStateError, FireworkState, StrategyParams
 from tfwa.swarm import (
     SwarmConfig,
@@ -69,7 +69,7 @@ def test_run_cell_starts_fireworks(monkeypatch):
     started, evaluated, params_seen = [], [], []
     real_fresh, real_evaluate, real_explode = (
         swarm_mod._fresh_t_firework,
-        swarm_mod._evaluate_one,
+        swarm_mod._evaluate_all,
         swarm_mod.explode,
     )
 
@@ -78,16 +78,17 @@ def test_run_cell_starts_fireworks(monkeypatch):
         started.append(copy.deepcopy(fw))
         return fw
 
-    def evaluate_one(objective, x):
-        evaluated.append(x.copy())
-        return real_evaluate(objective, x)
+    def evaluate_all(objective, xs):
+        assert xs.shape == (1, 6)  # a start is a one-row batch
+        evaluated.append(xs[0].copy())
+        return real_evaluate(objective, xs)
 
     def explode(state, params, objective, rng):
         params_seen.append(params)
         return real_explode(state, params, objective, rng)
 
     monkeypatch.setattr(swarm_mod, "_fresh_t_firework", fresh)
-    monkeypatch.setattr(swarm_mod, "_evaluate_one", evaluate_one)
+    monkeypatch.setattr(swarm_mod, "_evaluate_all", evaluate_all)
     monkeypatch.setattr(swarm_mod, "explode", explode)
     swarm_mod.run_cell(problem, SwarmConfig(), [0, 1], 2 + 2 * 30 * 3)
     # every fresh firework evaluates its mean once, and the four starts come
@@ -189,8 +190,11 @@ def test_loser_out_leader_never_restarts():
     assert loser_out_check(fw, g=50, g_max=100, global_best=5.0, eps=1e-6) is False
 
 
-def test_restart_resets_state():
-    problem = make_problem("sphere", 4, seed=0)
+@pytest.mark.parametrize("dim", [2, 10, 100])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_restart_resets_state(name, dim):
+    # the start is a one-row batch; at d=100 its product takes BLAS's vector path
+    problem = make_problem(name, dim, seed=0)
     config = SwarmConfig(df_factors=(1.05, 10.0))
     old = _fw(best_fitness=123.0)
     old.df = 77.0
@@ -200,10 +204,12 @@ def test_restart_resets_state():
     assert fresh.df == 5.0
     assert fresh.gen_count == 0
     assert fresh.df_factor == 10.0
-    assert np.all(fresh.mean >= -50.0) and np.all(fresh.mean <= 50.0)
-    assert fresh.scale == 200.0
+    quarter = (problem.ub - problem.lb) / 4.0
+    assert np.all(fresh.mean >= problem.lb + quarter)
+    assert np.all(fresh.mean <= problem.ub - quarter)
+    assert fresh.scale == problem.ub - problem.lb
     assert fresh.improvement == 0.0
-    assert fresh.best_fitness == problem.evaluate(fresh.mean)
+    assert fresh.best_fitness.hex() == problem.evaluate(fresh.mean).hex()
 
 
 def test_run_deterministic():

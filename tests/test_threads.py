@@ -51,29 +51,34 @@ FIREWORK_ALGOS = [algo for algo in ALGORITHMS if algo != "random-search"]
 
 
 class _Problem:
-    """Delegates to a benchmark problem and records how it is called."""
+    """Delegates to a benchmark problem and records how it is called.
+
+    A run evaluates a firework's start as a one-row batch and a burst's
+    sparks as a batch of at least two, so the row count tells them apart.
+    """
 
     def __init__(self, problem, fail=False):
         self.problem = problem
         self.dim, self.lb, self.ub = problem.dim, problem.lb, problem.ub
         self.f_star = problem.f_star
-        self.fail = fail
-        self.points = []  # every single point evaluated, in order
-        # the thread and point count of each batch, in order, and before each
-        # pooled generation's batches its chunk sizes, a list (_mark_chunks)
+        self.fail = fail  # whether bursts raise
+        self.points = []  # every start evaluated, in order
+        # the thread and point count of each burst, in order, and before each
+        # pooled generation's bursts its chunk sizes, a list (_mark_chunks)
         self.log = []
         self.blas_threads = set()  # BLAS thread counts seen by any evaluation
 
     def evaluate(self, x):
-        self.points.append(np.array(x, dtype=float))
-        self.blas_threads.add(blas.threads())
-        return self.problem.evaluate(x)
+        raise AssertionError("a run evaluates its objective in batches")
 
     def evaluate_batch(self, xs):
-        if self.fail:
-            raise RuntimeError("objective failed")
-        self.log.append((threading.get_ident(), len(xs)))
         self.blas_threads.add(blas.threads())
+        if len(xs) == 1:
+            self.points.append(np.array(xs[0], dtype=float))
+        elif self.fail:
+            raise RuntimeError("objective failed")
+        else:
+            self.log.append((threading.get_ident(), len(xs)))
         return self.problem.evaluate_batch(xs)
 
     @property
