@@ -22,9 +22,13 @@ taking the next job in grid order under one lock until none is left: its own
 between its runs, and each pool worker's as that worker's previous job ends.
 When there are fewer cells than workers, each cell's seeds are split into
 ``ceil(workers / cells)`` contiguous chunks, so that no worker sits idle;
-the rows are reassembled in grid order.  A job returns its runs' finished
-``results.csv`` rows and no trace, so the calling process joins the jobs'
-rows in job order and writes the three grid files once every job has ended.
+the rows are reassembled in grid order.  Each job takes the grid's process
+count P (N, or the job count when smaller) with it and runs under a share
+of one in P of the cores (``swarm._cores``), so the grid's runs explode
+their fireworks on no more threads than there are cores.  A job returns its
+runs' finished ``results.csv`` rows and no trace, so the calling process
+joins the jobs' rows in job order and writes the three grid files once
+every job has ended.
 
 ``compare`` and ``rank`` read results files as one sample per algorithm per
 file: ``compare`` applies the rank-sum test per function to exactly two
@@ -54,8 +58,8 @@ from .stats import _rank_sum_verdicts, _tally, average_rank
 from .swarm import (
     SwarmConfig,
     _chunks,
+    _processes,
     _require_int,
-    _share_cores,
     resolve_run_shape,
     run_cell,
 )
@@ -114,9 +118,10 @@ class ExperimentConfig:
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
 
 
-def _run_cells(job):
-    """Run one job, a contiguous chunk of one cell's repetitions; returns each
-    run's ``results.csv`` row, a dict in ``RESULT_FIELDS`` order.
+def _run_cells(job, processes=1):
+    """Run one job, a contiguous chunk of one cell's repetitions, on a share of
+    one in ``processes`` of the cores; returns each run's ``results.csv`` row,
+    a dict in ``RESULT_FIELDS`` order.
 
     When the job's ``out_dir`` is not ``None``, each run's trace is written
     to ``out_dir/traces/`` here, in the process that ran it, as soon as the
@@ -129,7 +134,11 @@ def _run_cells(job):
     name, dim, base_seed = problem_args
     problem = make_problem(*problem_args)
     runner, overrides = _RUNNERS[algo]
-    results = globals()[runner](problem, replace(swarm, **overrides), seeds, budget)
+    token = _processes.set(processes)
+    try:
+        results = globals()[runner](problem, replace(swarm, **overrides), seeds, budget)
+    finally:
+        _processes.reset(token)
     rows = []
     for seed, result in zip(seeds, results):
         rep = seed - base_seed
@@ -153,6 +162,8 @@ def validate_experiment(config: ExperimentConfig):
             raise ValueError(f"{label} is empty, so the grid has no runs")
     if config.out_dir is not None and not isinstance(config.out_dir, str):
         raise ValueError(f"out_dir must be a string, got {config.out_dir!r}")
+    if config.out_dir == "":
+        raise ValueError("out_dir is empty, so it names no directory")
     for name in config.suite:
         if name not in PROBLEM_NAMES:
             raise ValueError(
@@ -207,8 +218,8 @@ def run_experiment(config: ExperimentConfig):
     soon as its job's runs end; the other three files are written once every
     job has ended, so a grid that raises part-way can leave the traces of
     finished jobs and no ``results.csv``.
-    While a process runs jobs, its runs explode fireworks on threads only
-    from its share of the cores (``swarm._cores``).  A trace line spells
+    Each job runs under its share of the cores, one in the grid's process
+    count (see the module docstring).  A trace line spells
     floats as ``float.__repr__`` does (``NaN``, ``Infinity`` and
     ``-Infinity`` when not finite) and booleans as ``true``/``false``,
     exactly as ``json.dumps`` would.  Reruns with the same configuration
@@ -238,12 +249,10 @@ def run_experiment(config: ExperimentConfig):
                 ((name, dim, config.base_seed), algo, config.swarm, budget, chunk, config.out_dir)
             )
 
-    # this process runs jobs beside processes - 1 pool workers, and they all
-    # share the cores, so a run explodes its fireworks on threads only where
-    # its process has cores to spare
+    # this process runs jobs beside processes - 1 pool workers
     processes = min(config.workers, len(jobs))
     if processes > 1:
-        pool = ProcessPoolExecutor(processes - 1, initializer=_share_cores, initargs=(processes,))
+        pool = ProcessPoolExecutor(processes - 1)
     else:
         pool = contextlib.nullcontext()
     # every claim is made here, under one lock, in grid order: this process
@@ -270,7 +279,7 @@ def run_experiment(config: ExperimentConfig):
             index = next(claims, None)
             if index is None:
                 return
-            future = pool.submit(_run_cells, jobs[index])
+            future = pool.submit(_run_cells, jobs[index], processes)
             submitted.append((index, future))
         # outside the lock: a future that has already ended calls feed at once
         future.add_done_callback(feed)
@@ -279,15 +288,12 @@ def run_experiment(config: ExperimentConfig):
     with pool:
         for _ in range(processes - 1):
             feed()
-        sharing = _share_cores(processes)
         try:
             for index in iter(claim, None):
-                outcomes[index] = _run_cells(jobs[index])
+                outcomes[index] = _run_cells(jobs[index], processes)
         except BaseException:
             stop()
             raise
-        finally:
-            _share_cores(sharing)
         # the claims are empty, so every pool job has been submitted
         for index, future in submitted:
             outcomes[index] = future.result()

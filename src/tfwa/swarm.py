@@ -24,6 +24,7 @@ exploding them in turn and one run at a time.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 import os
@@ -387,28 +388,20 @@ def run(problem, config: SwarmConfig, seed=0, budget=None) -> RunResult:
     return run_cell(problem, config, [seed], budget)[0]
 
 
-# The number of processes that share this process's cores.  A grid's
-# processes, the calling one among them, set it to the worker count while they
-# run jobs, so that their runs together explode on no more threads than there
-# are cores.
-_sharing = 1
-
-
-def _share_cores(processes: int) -> int:
-    """Note that ``processes`` processes, this one among them, share its
-    cores; returns the count noted before."""
-    global _sharing
-    previous, _sharing = _sharing, processes
-    return previous
+# The number of processes that share the cores the current job runs on.  A
+# grid job sets it to the grid's process count while it runs, in the calling
+# process and in pool workers alike (``harness._run_cells``), so that the
+# grid's runs together explode on no more threads than there are cores.
+_processes = contextvars.ContextVar("processes", default=1)
 
 
 def _cores() -> int:
-    """This process's share of the cores it may run on."""
+    """The current job's share of the cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return max(1, cores // _sharing)
+    return max(1, cores // _processes.get())
 
 
 def _chunks(items, parts):
@@ -503,10 +496,10 @@ def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
     Threads: the first two generations explode in turn and are timed.  If
     the cheaper of the two took at least :data:`THREAD_MIN_BURST_S` per
     firework, the rest of the cell explodes on ``workers = min(R *
-    n_fireworks, cores)`` threads, where cores is this process's share of
-    the cores it may run on (:func:`_cores`): each generation is cut into
-    up to ``workers`` contiguous chunks, which a pool of ``workers`` threads
-    explodes, so ``burst`` and the objective may be called from several
+    n_fireworks, cores)`` threads, where cores is the cores this process may
+    run on, divided by the grid's process count when a grid job runs the
+    cell (:func:`_cores`): each generation is cut into up to ``workers``
+    contiguous chunks, which a pool of ``workers`` threads explodes, so ``burst`` and the objective may be called from several
     threads at once; otherwise the whole generation is one ``burst``.
     Either way each run then handles its outcomes in firework order:
     best-so-far tracking, restarts, the tournament and the trace rows, so

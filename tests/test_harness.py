@@ -594,6 +594,34 @@ def test_one_worker_starts_no_pool_and_no_lock(tmp_path, monkeypatch, fork_pool)
     assert _job_log(log) == ({os.getpid()}, SIX_JOBS)
 
 
+def test_every_job_reads_the_grid_share(tmp_path, monkeypatch, fork_pool):
+    # a grid on two processes leaves each job half of four cores, whether
+    # this process runs it or the pool worker, which inherits the patched
+    # affinity but no share from this process
+    log = tmp_path / "cores.log"
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def logged(runner):
+        def run(problem, config, seeds, budget):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {tfwa.swarm._cores()}\n")
+            return runner(problem, config, seeds, budget)
+
+        return run
+
+    for name in dict.fromkeys(name for name, _ in tfwa.harness._RUNNERS.values()):
+        monkeypatch.setattr(tfwa.harness, name, logged(getattr(tfwa.harness, name)))
+    run_experiment(ExperimentConfig(workers=2, **SIX_CELLS))
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert fork_pool == [1] and len(lines) == len(SIX_JOBS)
+    assert len({pid for pid, _ in lines}) == 2 and str(os.getpid()) in {pid for pid, _ in lines}
+    assert {cores for _, cores in lines} == {"2"}
+    assert tfwa.swarm._cores() == 4
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_failed_job_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_pool, workers):
     # the second job raises as it starts while every other job takes 0.5 s,
@@ -601,7 +629,6 @@ def test_failed_job_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_p
     # raised, one each at most, can have started
     log = tmp_path / "jobs.log"
     _log_jobs(monkeypatch, log, fail=SIX_JOBS[1], pause=0.5)
-    sharing = tfwa.swarm._sharing
     with pytest.raises(RuntimeError, match=f"job {SIX_JOBS[1]} failed"):
         run_experiment(ExperimentConfig(workers=workers, out_dir=str(tmp_path / "out"), **SIX_CELLS))
     pids, started = _job_log(log)
@@ -610,7 +637,7 @@ def test_failed_job_ends_the_grid_and_stops_claims(tmp_path, monkeypatch, fork_p
     assert set(started) <= set(SIX_JOBS[: workers + 1])
     assert len(pids) <= workers
     assert not (tmp_path / "out" / "results.csv").exists()
-    assert tfwa.swarm._sharing == sharing
+    assert tfwa.swarm._processes.get() == 1
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -960,6 +987,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         ({"swarm": {"df_factors": 5}}, [], "df_factors must be a list"),
         ({}, ["--seed", "-5"], "base_seed must be non-negative"),
         ({"out_dir": 5}, [], "out_dir must be a string"),
+        ({"out_dir": ""}, [], "out_dir is empty"),
         ({"suite": "sphere"}, [], "suite must be a list"),
         ({"dims": 10}, [], "dims must be a list"),
         ({"algos": "tfwa"}, [], "algos must be a list"),
@@ -972,6 +1000,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         "df_factors_not_list",
         "negative_seed",
         "out_dir",
+        "out_dir_empty",
         "suite",
         "dims",
         "algos",
@@ -982,8 +1011,9 @@ def test_cli_config_file_rejects_mistyped_values(
 ):
     # a non-empty string once switched literal_psigma on and true ran as
     # eps = 1, both exiting 0; "out_dir": 5 ran the whole grid into ./5
-    # before failing; the others failed with a message that named no key,
-    # or the wrong one
+    # before failing and "out_dir": "" ran it into the working directory,
+    # deleting the results an earlier grid left there; the others failed
+    # with a message that named no key, or the wrong one
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "exp.json"
     grid = {"suite": ["sphere"], "dims": [2], "algos": ["tfwa"], "reps": 1}

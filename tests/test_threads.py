@@ -30,7 +30,7 @@ import tfwa.harness as harness_mod
 import tfwa.swarm as swarm_mod
 from algorithms import ALGORITHMS, cell_of, run_of
 from tfwa import blas
-from tfwa.baselines import random_search_run, uniform_fwa_run
+from tfwa.baselines import random_search_cell, random_search_run, uniform_fwa_run
 from tfwa.benchfns import make_problem
 from tfwa.explosion import DegenerateStateError
 from tfwa.harness import ExperimentConfig, run_experiment
@@ -374,24 +374,23 @@ def test_cores_is_the_process_share(monkeypatch, sharing, share):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     else:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(swarm_mod, "_sharing", sharing)
-    assert swarm_mod._cores() == share
+    token = swarm_mod._processes.set(sharing)
+    try:
+        assert swarm_mod._cores() == share
+    finally:
+        swarm_mod._processes.reset(token)
+    assert swarm_mod._cores() == 4
 
 
 def test_grid_workers_share_the_cores(monkeypatch):
     # a grid on as many workers as cores leaves each run one core, so its
     # fireworks explode in turn, the calling process's runs included
     class InlinePool:
-        """A process pool that runs its initializer in this process, keeping
-        the core share a worker would note, and each job when its result is
-        asked for, under that share, after the caller has run its own."""
+        """A process pool that runs each job in this process when its result
+        is asked for, after the caller has run its own."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             pools.append(processes)
-            before = swarm_mod._sharing
-            initializer(*initargs)
-            shares.append(swarm_mod._sharing)
-            swarm_mod._sharing = before
 
         def __enter__(self):
             return self
@@ -404,21 +403,20 @@ def test_grid_workers_share_the_cores(monkeypatch):
 
             def result():
                 if not job.done():
-                    before = swarm_mod._sharing
-                    swarm_mod._sharing = shares[-1]
-                    try:
-                        job.set_result(fn(*args))
-                    finally:
-                        swarm_mod._sharing = before
+                    job.set_result(fn(*args))
                 return Future.result(job)
 
             job.result = result
             return job
 
+    def cell(*args):
+        shares.append(swarm_mod._cores())
+        return run_cell(*args)
+
     pools, shares, problems = [], [], []
     monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness_mod, "make_problem", lambda *args: _record(make_problem(*args)))
-    monkeypatch.setattr(swarm_mod, "_sharing", 1)
+    monkeypatch.setattr(harness_mod, "run_cell", cell)
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     else:
@@ -432,9 +430,43 @@ def test_grid_workers_share_the_cores(monkeypatch):
         suite=("rastrigin",), dims=(DIM,), algos=("tfwa",), reps=2, budget_multiplier=60, workers=2
     )
     rows, _ = run_experiment(config)
-    assert pools == [1] and shares == [2] and len(rows) == 2
+    assert pools == [1] and shares == [1, 1] and len(rows) == 2
     assert [p.threads for p in problems] == [{threading.get_ident()}] * 2
-    assert swarm_mod._sharing == 1
+    assert swarm_mod._cores() == 2
+
+
+def test_concurrent_grids_each_read_their_own_share(monkeypatch):
+    # two grids run at once from two threads of one process, sphere on two
+    # processes and rastrigin on three, their pools on threads too; every
+    # job waits until all five have started, so both grids are inside their
+    # jobs when each job reads its share of twelve cores, and once both
+    # grids end, this thread's share is all twelve again
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 12)
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
+    started = threading.Barrier(5, timeout=30)
+    shares = collections.defaultdict(list)
+    lock = threading.Lock()
+
+    def cell(problem, config, seeds, budget):
+        started.wait()
+        with lock:
+            shares[problem.name].append(swarm_mod._cores())
+        return random_search_cell(problem, config, seeds, budget)
+
+    monkeypatch.setattr(harness_mod, "random_search_cell", cell)
+    grid = dict(dims=(2,), algos=("random-search",), budget_multiplier=20)
+    grids = [
+        ExperimentConfig(suite=(name,), reps=workers, workers=workers, **grid)
+        for name, workers in (("sphere", 2), ("rastrigin", 3))
+    ]
+    with ThreadPoolExecutor(2) as callers:
+        ends = list(callers.map(run_experiment, grids))
+    assert [len(rows) for rows, _ in ends] == [2, 3]
+    assert shares == {"sphere": [6, 6], "rastrigin": [4, 4, 4]}
+    assert swarm_mod._cores() == 12
 
 
 _D100_SCRIPT = """
