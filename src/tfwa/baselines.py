@@ -174,7 +174,7 @@ def random_search_run(problem, config: SwarmConfig, seed=0, budget=None) -> RunR
     box = float(problem.ub - problem.lb)
     block = max(1, BLOCK_COORDS // (batch * d))
     total = budget // batch
-    run = _Run([], float(getattr(problem, "f_star", 0.0)))
+    run = _Run([], problem)
     g = 0
     while g < total:
         k = min(block, total - g)

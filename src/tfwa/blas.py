@@ -2,13 +2,12 @@
 
 numpy's wheels bundle OpenBLAS as ``libscipy_openblas64_``, which exports a
 setter and a getter for its thread count (the ``scipy_openblas`` prefix names
-that OpenBLAS build; the scipy package is not needed).  Every run sets one thread on entry
-and restores the previous count on exit, for two reasons: at d >= 100
-OpenBLAS gives different bits at different thread counts, which would make a
-run's result depend on the machine, and where a burst is costly the
-generation driver explodes fireworks on threads of its own.  A problem's
-rotation is built at one thread too (:func:`one_thread`), since from
-d >= 300 its bits depend on the thread count as well.
+that OpenBLAS build; the scipy package is not needed).  Every run holds one
+thread (:func:`one_thread`), for two reasons: at d >= 100 OpenBLAS gives
+different bits at different thread counts, which would make a run's result
+depend on the machine, and where a burst is costly the generation driver
+explodes fireworks on threads of its own.  A problem's rotation is built at
+one thread too, since from d >= 300 its bits depend on the count as well.
 
 The library is looked up on first use, not at import.  Where it or its
 symbols are missing, :func:`threads` returns ``None`` and the pin does
@@ -30,6 +29,7 @@ import ctypes
 import glob
 import os
 import platform
+import threading
 import warnings
 from contextlib import contextmanager
 
@@ -47,6 +47,13 @@ MMAP_THRESHOLD = 32 * 2**20
 
 _lib = None  # the bundled OpenBLAS once found, False when there is none
 _heap_kept = False  # keep_heap has run in this process
+
+_pin_lock = threading.Lock()
+_pins = 0  # bodies inside one_thread, in all threads of this process
+_unpinned = None  # the thread count the first of them found
+if hasattr(os, "register_at_fork"):  # so no fork copies the lock while held
+    os.register_at_fork(before=_pin_lock.acquire, after_in_parent=_pin_lock.release)
+    os.register_at_fork(after_in_child=_pin_lock.release)
 
 
 def _load():
@@ -133,14 +140,22 @@ def keep_heap() -> None:
 
 @contextmanager
 def one_thread():
-    """Run the body with one BLAS thread, then restore the previous count."""
-    previous = threads()
-    set_threads(1)
+    """Run the body with one BLAS thread.  The count is process-wide, so the
+    bodies of all threads share one pin: the first to enter saves the count
+    and sets one thread, and the last to leave restores it."""
+    global _pins, _unpinned
+    with _pin_lock:
+        if not _pins:
+            _unpinned = threads()
+            set_threads(1)
+        _pins += 1
     try:
         yield
     finally:
-        if previous is not None:
-            set_threads(previous)
+        with _pin_lock:
+            _pins -= 1
+            if not _pins:
+                set_threads(_unpinned)
 
 
 @contextmanager

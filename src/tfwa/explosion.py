@@ -106,7 +106,6 @@ class StrategyParams:
     c_s: float
     c_1: float
     c_mu: float
-    literal_psigma: bool = False
 
 
 def rank_weights(lam: int) -> np.ndarray:
@@ -138,7 +137,7 @@ def fuse_weights(rank_w, natural_w) -> np.ndarray:
     return fused / total
 
 
-def derive_params(lam: int, dim: int, literal_psigma: bool = False) -> StrategyParams:
+def derive_params(lam: int, dim: int) -> StrategyParams:
     """Build the static strategy constants for population size ``lam``.
 
     The learning rates follow the standard cumulative-adaptation recipe:
@@ -167,7 +166,6 @@ def derive_params(lam: int, dim: int, literal_psigma: bool = False) -> StrategyP
         c_s=c_s,
         c_1=c_1,
         c_mu=c_mu,
-        literal_psigma=literal_psigma,
     )
 
 
@@ -280,10 +278,9 @@ def update(state: FireworkState, params: StrategyParams, xs, s, fits) -> dict:
     )
 
     path_c = (1.0 - c_c) * state.path_c + c_cn * h_gate * delta_m
-    # C^{-1/2} delta_m by default; literal_psigma uses C^{-1} delta_m
+    # C^{-1/2} delta_m
     coef = state.eigvecs.T @ delta_m
-    axes = state.eigvals if params.literal_psigma else np.sqrt(state.eigvals)
-    back = state.eigvecs @ (coef / axes)
+    back = state.eigvecs @ (coef / np.sqrt(state.eigvals))
     path_s = (1.0 - c_s) * state.path_s + c_sn * back
 
     scale = state.scale * math.exp(min(1.0, 0.5 * c_s * (float(np.dot(path_s, path_s)) / d - 1.0)))

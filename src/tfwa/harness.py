@@ -91,6 +91,7 @@ RESULT_FIELDS = (
     "generations",
     "restarts",
 )
+SUMMARY_FIELDS = ("problem", "dim", "algo", "reps", "mean_gap", "std_gap", "median_gap")
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +320,8 @@ def _summarise(rows):
         else:
             # numpy would give nan too, but warn on inf - inf on the way
             std = math.nan
-        summary.append(
-            {
-                "problem": name,
-                "dim": dim,
-                "algo": algo,
-                "reps": len(arr),
-                "mean_gap": float(arr.mean()),
-                "std_gap": std,
-                "median_gap": float(np.median(arr)),
-            }
-        )
+        numbers = (len(arr), float(arr.mean()), std, float(np.median(arr)))
+        summary.append(dict(zip(SUMMARY_FIELDS, (name, dim, algo, *numbers))))
     return summary
 
 
@@ -339,9 +331,8 @@ def _write_outputs(config, rows, summary):
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    sum_fields = ("problem", "dim", "algo", "reps", "mean_gap", "std_gap", "median_gap")
     with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sum_fields, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(summary)
     with open(out / "config.json", "w") as fh:
@@ -402,11 +393,7 @@ def _cmd_run(args):
         for f in fields(ExperimentConfig)
         if getattr(args, f.name, None) is not None
     }
-    swarm = {}
-    if args.eps is not None:
-        swarm["eps"] = args.eps
-    if args.literal_psigma:
-        swarm["literal_psigma"] = True
+    swarm = {} if args.eps is None else {"eps": args.eps}
     config = replace(config, **_tuples(flags), swarm=replace(config.swarm, **swarm))
     if config.out_dir is None:
         raise ValueError("an output directory is required (--out or out_dir in the config file)")
@@ -465,7 +452,6 @@ def _build_parser():
     p_run.add_argument("--out", dest="out_dir", default=None)
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--eps", type=float, default=None)
-    p_run.add_argument("--literal-psigma", action="store_true")
     p_run.add_argument(
         "--config", default=None, help="JSON file with config.json's keys; flags override"
     )

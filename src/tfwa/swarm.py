@@ -72,7 +72,6 @@ class SwarmConfig:
     df_init: float = 5.0
     sparks_per_firework: int | None = None
     eps: float = 1e-6
-    literal_psigma: bool = False
 
 
 @dataclass(slots=True)
@@ -236,8 +235,6 @@ def resolve_run_shape(problem, config: SwarmConfig, budget=None):
         _require_real("df_factors", factor)
     _require_real("df_init", config.df_init)
     _require_real("eps", config.eps)
-    if not isinstance(config.literal_psigma, (bool, np.bool_)):
-        raise ValueError(f"literal_psigma must be true or false, got {config.literal_psigma!r}")
     # written so that a NaN fails the check
     if any(not f > 1.0 for f in config.df_factors):
         raise ValueError("df growth factors must exceed 1")
@@ -352,7 +349,7 @@ def run_cell(problem, config: SwarmConfig, seeds, budget=None) -> list:
     budget)`` bit for bit.
     """
     _, lam, budget = resolve_run_shape(problem, config, budget)
-    params = derive_params(lam, problem.dim, literal_psigma=config.literal_psigma)
+    params = derive_params(lam, problem.dim)
 
     # An outcome owns only copies: a view of the best spark would keep the
     # whole (lam, d) spark array alive, and a raised error's traceback would
@@ -417,12 +414,13 @@ class _Run:
     """One run's record: its fireworks, evaluation count, best-so-far point,
     trace rows and last generation, and the number ``k`` of its fireworks
     that explode in the current generation.  Every algorithm's run writes its
-    trace rows through :meth:`record`, against the problem's ``f_star``, into
-    one flat float64 buffer (see :class:`Trace`)."""
+    trace rows through :meth:`record`, against the ``f_star`` of its
+    ``problem`` (0 when it has none), into one flat float64 buffer (see
+    :class:`Trace`)."""
 
-    def __init__(self, fireworks, f_star):
+    def __init__(self, fireworks, problem):
         self.fireworks = fireworks
-        self.f_star = f_star
+        self.f_star = float(getattr(problem, "f_star", 0.0))
         self.evals = len(fireworks)
         self.best_f, self.best_x = math.inf, None
         self.rows = array("d")
@@ -499,8 +497,9 @@ def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
     n_fireworks, cores)`` threads, where cores is the cores this process may
     run on, divided by the grid's process count when a grid job runs the
     cell (:func:`_cores`): each generation is cut into up to ``workers``
-    contiguous chunks, which a pool of ``workers`` threads explodes, so ``burst`` and the objective may be called from several
-    threads at once; otherwise the whole generation is one ``burst``.
+    contiguous chunks, which a pool of ``workers`` threads explodes, so
+    ``burst`` and the objective may be called from several threads at once;
+    otherwise the whole generation is one ``burst``.
     Either way each run then handles its outcomes in firework order:
     best-so-far tracking, restarts, the tournament and the trace rows, so
     both paths, and a run on its own or among others, give the same result.
@@ -508,9 +507,8 @@ def _drive(problem, config, seeds, lam, budget, new, fresh, burst) -> list:
     since :func:`tfwa.blas.keep_heap` caps glibc at one arena.
     """
     n, eps = config.n_fireworks, config.eps
-    f_star = float(getattr(problem, "f_star", 0.0))
     runs = [
-        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(seed).spawn(n))], f_star)
+        _Run([new(i, rng) for i, rng in enumerate(np.random.default_rng(seed).spawn(n))], problem)
         for seed in seeds
     ]
     workers = min(n * len(runs), _cores())

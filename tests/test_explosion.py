@@ -494,30 +494,12 @@ def test_explode_deterministic():
     assert runs[0][3] == runs[1][3]
 
 
-def test_explode_literal_psigma_variant_differs_but_works():
-    # the unwhitened path normalisation mis-scales the step-size signal,
-    # so it converges more slowly; it must still run and improve
-    problem = make_problem("sphere", 2, seed=0, rotated=False, shifted=False)
-    finals = []
-    for literal in (False, True):
-        state = _fresh_state(2, mean=[1.0, 1.0], f0=2.0)
-        params = derive_params(20, 2, literal_psigma=literal)
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            explode(state, params, problem, rng)
-        finals.append(state.best_fitness)
-    assert finals[0] != finals[1]
-    assert finals[0] < 1e-10
-    assert finals[1] < 2.0
-
-
-@pytest.mark.parametrize("literal", [False, True], ids=["whitened", "literal-psigma"])
-def test_explode_factorises_once(monkeypatch, literal):
+def test_explode_factorises_once(monkeypatch):
     # sampling, Mahalanobis distances and path whitening all reuse the
     # cached eigenpair; the only factorisation is regularize_covariance's
     problem = make_problem("rastrigin", 5, seed=0)
     state = _fresh_state(5, scale=50.0, f0=1e9)
-    params = derive_params(12, 5, literal_psigma=literal)
+    params = derive_params(12, 5)
     rng = np.random.default_rng(12)
     explode(state, params, problem, rng)
     calls = {}
@@ -572,8 +554,7 @@ def _reference_update(state, params, xs, s, fits):
       generation as the code has it (the tutorial uses the updated one);
     * p_c' = (1 - c_c) p_c + h sqrt(c_c (2 - c_c) mu_eff) dm / sigma;
     * p_s' = (1 - c_s) p_s + sqrt(c_s (2 - c_s) mu_eff) C^(-1/2) dm / sigma,
-      where C^(-1/2) = B diag(lambda^(-1/2)) B', or C^(-1) with
-      ``literal_psigma``;
+      where C^(-1/2) = B diag(lambda^(-1/2)) B';
     * sigma' = sigma exp(min(1, c_s / 2 (|p_s'|^2 / d - 1)));
     * df' = min(max(df factor, df + 1), DF_CAP) when fits[0] improves on the
       last generation's best, else df.
@@ -616,8 +597,7 @@ def _reference_update(state, params, xs, s, fits):
     c_cn = gate * math.sqrt(c_c * (2.0 - c_c) * mu_eff) / sigma
     path_c = [(1.0 - c_c) * p_c[k] + c_cn * dm[k] for k in range(d)]
     b, lams = state.eigvecs, state.eigvals
-    power = 1.0 if params.literal_psigma else 0.5
-    coef = [sum(b[j][n] * dm[j] for j in range(d)) / lams[n] ** power for n in range(d)]
+    coef = [sum(b[j][n] * dm[j] for j in range(d)) / math.sqrt(lams[n]) for n in range(d)]
     white = [sum(b[k][n] * coef[n] for n in range(d)) for k in range(d)]
     c_sn = math.sqrt(c_s * (2.0 - c_s) * mu_eff) / sigma
     path_s = [(1.0 - c_s) * float(state.path_s[k]) + c_sn * white[k] for k in range(d)]
@@ -656,7 +636,7 @@ def _generations(draw):
     """
     d = draw(hst.integers(2, 12))
     lam = draw(hst.integers(2, 3 * d))
-    params = derive_params(lam, d, literal_psigma=draw(hst.booleans()))
+    params = derive_params(lam, d)
     df = draw(hst.one_of(hst.floats(math.log10(2.5), 6.0).map(lambda e: 10.0**e), hst.just(DF_CAP)))
     # small factors let the df + 1 floor win
     df_factor = 1.0 + 10.0 ** draw(hst.floats(-3.0, 1.0))

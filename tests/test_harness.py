@@ -980,7 +980,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
 @pytest.mark.parametrize(
     "fields, flags, message",
     [
-        ({"swarm": {"literal_psigma": "no"}}, [], "literal_psigma must be true or false"),
+        ({"swarm": {"n_fireworks": "2"}}, [], "n_fireworks must be an integer"),
         ({"swarm": {"eps": True}}, [], "eps must be a real number"),
         ({"swarm": {"df_init": "5"}}, [], "df_init must be a real number"),
         ({"swarm": {"df_factors": [1.05, "10"]}}, [], "df_factors must be a real number"),
@@ -993,7 +993,7 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
         ({"algos": "tfwa"}, [], "algos must be a list"),
     ],
     ids=[
-        "literal_psigma",
+        "n_fireworks",
         "eps",
         "df_init",
         "df_factors",
@@ -1009,11 +1009,10 @@ def test_cli_config_file_rejects_non_integer_counts(tmp_path, capsys, key, value
 def test_cli_config_file_rejects_mistyped_values(
     tmp_path, capsys, monkeypatch, fields, flags, message
 ):
-    # a non-empty string once switched literal_psigma on and true ran as
-    # eps = 1, both exiting 0; "out_dir": 5 ran the whole grid into ./5
-    # before failing and "out_dir": "" ran it into the working directory,
-    # deleting the results an earlier grid left there; the others failed
-    # with a message that named no key, or the wrong one
+    # true once ran as eps = 1 and exited 0; "out_dir": 5 ran the whole grid
+    # into ./5 before failing and "out_dir": "" ran it into the working
+    # directory, deleting the results an earlier grid left there; the others
+    # failed with a message that named no key, or the wrong one
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "exp.json"
     grid = {"suite": ["sphere"], "dims": [2], "algos": ["tfwa"], "reps": 1}
@@ -1077,15 +1076,23 @@ def test_validate_accepts_numpy_integers():
 
 
 def test_cli_config_file_rejects_per_run_swarm_fields(tmp_path, capsys):
-    # a run's seed and budget are not swarm fields: the grid sets them per run
+    # a run's seed and budget are not swarm fields: the grid sets them per
+    # run; nor is literal_psigma, which older config.json files carry
     cfg_path = tmp_path / "exp.json"
     grid = {"suite": ["sphere"], "dims": [2], "algos": ["random-search"], "reps": 3}
-    for key, value in (("seed", 9), ("budget", 500)):
+    for key, value in (("seed", 9), ("budget", 500), ("literal_psigma", False)):
         cfg_path.write_text(json.dumps({**grid, "swarm": {key: value}}))
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+    # nor is there a flag for it
+    cfg_path.write_text(json.dumps(grid))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x"), "--literal-psigma"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --literal-psigma" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_config_file_invalid_json(tmp_path, capsys):

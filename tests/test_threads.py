@@ -559,6 +559,66 @@ def test_failed_run_restores_blas_threads():
 
 
 @needs_blas
+def test_runs_in_two_threads_share_one_blas_pin():
+    # A enters, B enters, A leaves while B is still inside: B must still read
+    # one thread, and once both have left the count is the one A found
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+    def first():
+        with blas.one_thread():
+            a_in.set()
+            assert b_in.wait(30)
+        a_out.set()
+
+    def second():
+        assert a_in.wait(30)
+        with blas.one_thread():
+            b_in.set()
+            assert a_out.wait(30)
+            return blas.threads()
+
+    before = blas.threads()
+    try:
+        blas.set_threads(2)
+        with ThreadPoolExecutor(2) as pool:
+            a, b = pool.submit(first), pool.submit(second)
+            a.result()
+            inside = b.result()
+        after = blas.threads()
+    finally:
+        blas.set_threads(before)
+    assert (inside, after) == (1, 2)
+
+
+@needs_blas
+def test_blas_pin_holds_under_many_threads():
+    # more threads than cores enter and leave the pin at a short switch
+    # interval: a lost update of the pin count would let a body read two
+    # threads, or leave the process at one
+    start = threading.Barrier(8, timeout=30)
+
+    def body(_):
+        seen = set()
+        start.wait()
+        for _ in range(2000):
+            with blas.one_thread():
+                seen.add(blas.threads())
+        return seen
+
+    before, interval = blas.threads(), sys.getswitchinterval()
+    try:
+        blas.set_threads(2)
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(8) as pool:
+            seen = set().union(*pool.map(body, range(8), timeout=60))
+        after = blas.threads()
+    finally:
+        sys.setswitchinterval(interval)
+        blas.set_threads(before)
+    assert (seen, after) == ({1}, 2)
+
+
+@needs_blas
 def test_kernel_names_the_core_openblas_runs():
     assert blas.kernel()
     if platform.machine() == "x86_64":
